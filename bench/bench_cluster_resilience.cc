@@ -7,8 +7,8 @@
 // loses 32 nodes at once — and compares three request-level policies on the
 // same 1024-node fleet:
 //
-//   * write-off      — resilience disabled; the legacy path fails every
-//                      request caught behind a fault (the PR-7 baseline).
+//   * write-off      — resilience disabled (one attempt, no timeout): every
+//                      request caught behind a fault fails.
 //   * retry          — per-request timeout + capped-backoff retries under a
 //                      per-model retry budget; orphaned work re-dispatches
 //                      to healthy replicas.

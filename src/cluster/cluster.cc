@@ -35,6 +35,14 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
   LITHOS_CHECK_GE(config_.racks_per_zone, 1);
   // Equal-sized racks within each zone.
   LITHOS_CHECK_EQ((config_.num_nodes / config_.num_zones) % config_.racks_per_zone, 0);
+  // Write-off is the one-attempt setting of the request state machine: no
+  // retry, timeout, hedge, or shedding — so it schedules no extra events.
+  if (!config_.resilience.enabled) {
+    config_.resilience.max_attempts = 1;
+    config_.resilience.attempt_timeout = 0;
+    config_.resilience.hedge = false;
+    config_.resilience.shed_watermark_ms = 0;
+  }
 
   for (int n = 0; n < config_.num_nodes; ++n) {
     nodes_.push_back(
@@ -230,141 +238,6 @@ void ClusterDispatcher::EmitReq(TraceKind kind, int node, int zone, int32_t arg,
   }
 }
 
-int ClusterDispatcher::Dispatch(int model_index) {
-  if (config_.resilience.enabled) {
-    return DispatchResilient(model_index);
-  }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kArrival, -1,
-                   -1, model_index,
-                   static_cast<int64_t>(fleet_.models()[model_index].cost_ms * 1000.0));
-  }
-  const uint64_t rid = next_request_id_++;
-  EmitReq(TraceKind::kReqArrival, -1, -1, model_index, rid);
-  const int node = placer_->Place(model_index, outstanding_ms_);
-  LITHOS_CHECK_GE(node, 0);
-  LITHOS_CHECK_LT(node, config_.num_nodes);
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kPlacement,
-                   node, zone_topo_.ZoneOf(node), model_index, 0);
-  }
-
-  NodeState& state = node_state_[node];
-  const FleetModel& model = fleet_.models()[model_index];
-  const bool measured = sim_->Now() >= warmup_end_;
-  ctr_dispatched_->Inc();
-  ++state.dispatched;
-  g_dispatched_request_ms_->Add(model.cost_ms);
-  if (measured) {
-    ++state.dispatched_measured;
-  }
-
-  // The placer only routes to a failed node when every alternative is gone
-  // (its last-resort fallback). A dead host cannot execute anything — and a
-  // partitioned one cannot be reached — so the request fails fast at
-  // admission instead of launching kernels on it.
-  if (state.failed || state.partitioned) {
-    ctr_failed_->Inc();
-    if (measured) {
-      ++state.failed_measured;
-    }
-    if (trace_ != nullptr) {
-      trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDispatchFail,
-                     node, zone_topo_.ZoneOf(node), model_index, 0);
-    }
-    EmitReq(TraceKind::kReqFail, node, zone_topo_.ZoneOf(node), model_index, rid);
-    return node;
-  }
-  state.models_seen.insert(model_index);
-
-  Stream* stream = StreamFor(node, model_index);
-  Driver* driver = nodes_[node]->driver();
-
-  double cost_ms = model.cost_ms;
-  // Charge a model switch when this node's previous launch served another
-  // model (weight load / cache refill before the request can run). The
-  // node's very first request is a cold-start load and counts too.
-  if (state.last_model != model_index) {
-    const double switch_ms = config_.switch_cost_ms_per_size * model.size;
-    if (switch_ms > 0) {
-      driver->CuLaunchKernel(stream, &switch_kernels_[model_index]);
-      cost_ms += switch_ms;
-      if (measured) {
-        ++state.switches_measured;
-      }
-    }
-    state.last_model = model_index;
-  }
-  driver->CuLaunchKernel(stream, &request_kernels_[model_index]);
-  EmitReq(TraceKind::kReqAttemptLaunch, node, zone_topo_.ZoneOf(node),
-          ReqArg(0, false), rid);
-  ++feed_.node_attempts[node];
-
-  AddOutstanding(node, cost_ms);
-  const TimeNs arrival = sim_->Now();
-  const double request_ms = model.cost_ms;
-  const uint64_t epoch = state.epoch;
-  driver->CuStreamAddCallback(stream, [this, node, model_index, arrival, cost_ms, request_ms,
-                                       epoch, rid] {
-    NodeState& state = node_state_[node];
-    if (state.epoch != epoch) {
-      // The node crashed after this request was dispatched: the result is
-      // lost. Outstanding work was already written off by FailNode. Unlike
-      // latency samples (gated on arrival time), a loss is an operational
-      // event attributed to the phase in which the node died — queued work
-      // admitted before the window still fails *now*.
-      ctr_failed_->Inc();
-      if (sim_->Now() >= warmup_end_) {
-        ++state.failed_measured;
-      }
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                       TraceKind::kOrphanedCompletion, node,
-                       zone_topo_.ZoneOf(node), model_index,
-                       sim_->Now() - arrival);
-      }
-      EmitReq(TraceKind::kReqAttemptOrphan, node, zone_topo_.ZoneOf(node),
-              ReqArg(0, false), rid);
-      EmitReq(TraceKind::kReqFail, node, zone_topo_.ZoneOf(node), model_index, rid);
-      return;
-    }
-    AddOutstanding(node, -cost_ms);
-    if (state.partitioned) {
-      // The node finished the work but cannot deliver the result: buffer it
-      // for heal-time delivery (or orphaning, if the node crashes first).
-      ctr_deferred_->Inc();
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                       TraceKind::kDeferredCompletion, node,
-                       zone_topo_.ZoneOf(node), model_index, sim_->Now() - arrival);
-      }
-      EmitReq(TraceKind::kReqDeferredFinish, node, zone_topo_.ZoneOf(node),
-              ReqArg(0, false), rid);
-      DeferredCompletion d;
-      d.epoch = epoch;
-      d.model = model_index;
-      d.arrival = arrival;
-      d.request_ms = request_ms;
-      d.req_id = rid;
-      state.deferred.push_back(d);
-      return;
-    }
-    ctr_completed_->Inc();
-    ++feed_.node_completions[node];
-    ++feed_.pair_completions[static_cast<size_t>(model_index) * config_.num_nodes + node];
-    feed_.pair_latency_ns[static_cast<size_t>(model_index) * config_.num_nodes + node] +=
-        sim_->Now() - arrival;
-    EmitReq(TraceKind::kReqComplete, node, zone_topo_.ZoneOf(node),
-            ReqArg(0, false), rid);
-    if (arrival >= warmup_end_) {
-      ++state.completed_measured;
-      hist_latency_ms_->Add(ToMillis(sim_->Now() - arrival));
-      g_completed_request_ms_->Add(request_ms);
-    }
-  });
-  return node;
-}
-
 void ClusterDispatcher::AddOutstanding(int node, double delta_ms) {
   double& outstanding = outstanding_ms_[node];
   const double before = outstanding;
@@ -394,6 +267,8 @@ void ClusterDispatcher::BeginMeasurement() {
     state.models_seen.clear();
     state.launches_at_window_start = nodes_[n]->driver()->launches_issued();
   }
+  unplaced_dispatched_measured_ = 0;
+  unplaced_failed_measured_ = 0;
 }
 
 void ClusterDispatcher::SetNodeActive(int node, bool active) {
@@ -580,68 +455,26 @@ void ClusterDispatcher::HealNode(int node) {
                    sim_->Now() - state.partitioned_at);
   }
   // Deliver the buffered completions in finish order. A crash behind the
-  // partition (stale epoch) lost the buffered results; a resilient request
-  // may have been settled by a retry or hedge in the meantime (stale gen),
-  // in which case the delivery is a duplicate and is orphaned.
+  // partition (stale epoch) lost the buffered result; a request settled by a
+  // retry or hedge in the meantime (stale gen) makes the delivery a
+  // duplicate. Either way the completion is orphaned.
   std::vector<DeferredCompletion> deferred;
   deferred.swap(state.deferred);
   for (const DeferredCompletion& d : deferred) {
-    if (!d.resilient) {
-      if (node_state_[node].epoch != d.epoch) {
-        ctr_failed_->Inc();
-        if (sim_->Now() >= warmup_end_) {
-          ++state.failed_measured;
-        }
-        ctr_deferred_orphaned_->Inc();
-        if (trace_ != nullptr) {
-          trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                         TraceKind::kDeferredOrphaned, node,
-                         zone_topo_.ZoneOf(node), d.model, 0);
-        }
-        EmitReq(TraceKind::kReqAttemptOrphan, node, zone_topo_.ZoneOf(node),
-                ReqArg(0, false), d.req_id);
-        EmitReq(TraceKind::kReqFail, node, zone_topo_.ZoneOf(node), d.model,
-                d.req_id);
-        continue;
-      }
-      ctr_completed_->Inc();
-      ctr_deferred_delivered_->Inc();
-      // Counts toward the node's liveness but carries no latency sample: the
-      // delivery burst at heal time would poison the pair baseline.
-      ++feed_.node_completions[node];
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                       TraceKind::kDeferredDelivered, node,
-                       zone_topo_.ZoneOf(node), d.model, sim_->Now() - d.arrival);
-      }
-      EmitReq(TraceKind::kReqComplete, node, zone_topo_.ZoneOf(node),
-              ReqArg(0, true), d.req_id);
-      if (d.arrival >= warmup_end_) {
-        ++state.completed_measured;
-        hist_latency_ms_->Add(ToMillis(sim_->Now() - d.arrival));
-        g_completed_request_ms_->Add(d.request_ms);
-      }
+    const bool live = LiveRequest(d.slot, d.gen) != nullptr;
+    const bool stale = state.epoch != d.epoch;
+    if (live && !stale) {
+      OnAttemptComplete(d.slot, d.gen, d.attempt, /*deferred=*/true);
       continue;
     }
-    const bool live = d.slot < requests_.size() && requests_[d.slot].in_use &&
-                      requests_[d.slot].gen == d.gen;
-    if (node_state_[node].epoch != d.epoch) {
-      if (live) {
-        OnAttemptOrphaned(d.slot, d.gen, d.attempt);
-      }
-      continue;
+    ctr_deferred_orphaned_->Inc();
+    if (trace_ != nullptr) {
+      trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDeferredOrphaned,
+                     node, zone_topo_.ZoneOf(node), -1, 0);
     }
-    if (!live) {
-      // A retry or hedge already settled the request: duplicate result.
-      ctr_deferred_orphaned_->Inc();
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                       TraceKind::kDeferredOrphaned, node,
-                       zone_topo_.ZoneOf(node), -1, 0);
-      }
-      continue;
+    if (live) {
+      OnAttemptOrphaned(d.slot, d.gen, d.attempt);
     }
-    OnAttemptComplete(d.slot, d.gen, d.attempt, /*deferred=*/true);
   }
   // Like ReviveNode, deliberately *not* re-activated here: the control plane
   // folds the healed node back into rotation at its next tick.
@@ -739,15 +572,18 @@ bool ClusterDispatcher::DropLostReplica(int model_index, int node) {
   return true;
 }
 
-// --- Resilient dispatch path -------------------------------------------------
+// --- Request state machine ---------------------------------------------------
 
-int ClusterDispatcher::DispatchResilient(int model_index) {
+ClusterDispatcher::RequestState* ClusterDispatcher::LiveRequest(uint32_t slot, uint32_t gen) {
+  if (slot >= requests_.size() || !requests_[slot].in_use || requests_[slot].gen != gen) {
+    return nullptr;
+  }
+  return &requests_[slot];
+}
+
+int ClusterDispatcher::Dispatch(int model_index) {
   const ResilienceConfig& rc = config_.resilience;
   const FleetModel& model = fleet_.models()[model_index];
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kArrival, -1,
-                   -1, model_index, static_cast<int64_t>(model.cost_ms * 1000.0));
-  }
   ctr_dispatched_->Inc();
   g_dispatched_request_ms_->Add(model.cost_ms);
   ++model_dispatched_[model_index];
@@ -757,19 +593,11 @@ int ClusterDispatcher::DispatchResilient(int model_index) {
   // Admission control: above the outstanding-work watermark the fleet is
   // melting down — reject now (cheap, bounded latency for what is admitted)
   // rather than queue into the collapse.
-  if (rc.shed_watermark_ms > 0) {
-    const double watermark = rc.shed_watermark_ms * std::max(1, active_node_count_);
-    if (total_outstanding_ms_ > watermark) {
-      ctr_shed_->Inc();
-      if (trace_ != nullptr) {
-        // payload = outstanding excess over the watermark, ns.
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestShed,
-                       -1, -1, model_index,
-                       static_cast<int64_t>((total_outstanding_ms_ - watermark) * 1e6));
-      }
-      EmitReq(TraceKind::kReqShed, -1, -1, model_index, rid);
-      return -1;
-    }
+  if (rc.shed_watermark_ms > 0 &&
+      total_outstanding_ms_ > rc.shed_watermark_ms * std::max(1, active_node_count_)) {
+    ctr_shed_->Inc();
+    EmitReq(TraceKind::kReqShed, -1, -1, model_index, rid);
+    return -1;
   }
 
   uint32_t slot;
@@ -800,33 +628,24 @@ int ClusterDispatcher::DispatchResilient(int model_index) {
     TryRetryOrFail(slot);
     return -1;
   }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kPlacement,
-                   node, zone_topo_.ZoneOf(node), model_index, 0);
-  }
   LaunchAttempt(slot, node, /*is_hedge=*/false);
   if (rc.hedge) {
     const uint32_t gen = req.gen;
     req.hedge_event = sim_->ScheduleAfter(rc.hedge_delay, [this, slot, gen] {
-      if (slot >= requests_.size() || !requests_[slot].in_use ||
-          requests_[slot].gen != gen) {
+      RequestState* r = LiveRequest(slot, gen);
+      if (r == nullptr) {
         return;
       }
-      RequestState& r = requests_[slot];
-      r.hedge_armed = false;
-      if (r.hedged) {
+      r->hedge_armed = false;
+      if (r->hedged) {
         return;
       }
-      r.hedged = true;
-      const int target = PickAttemptNode(r.model, r, /*hedge=*/true);
+      r->hedged = true;
+      const int target = PickAttemptNode(r->model, *r, /*hedge=*/true);
       if (target < 0) {
         return;  // no distinct healthy node to hedge onto
       }
       ctr_hedges_->Inc();
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestHedge,
-                       target, zone_topo_.ZoneOf(target), r.model, 0);
-      }
       LaunchAttempt(slot, target, /*is_hedge=*/true);
     });
     req.hedge_armed = true;
@@ -882,60 +701,47 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
       !doomed(placed)) {
     return placed;
   }
-  // Deterministic fallback: least-outstanding healthy untried node among the
-  // model's eligible set (ties break to the lowest node id — EligibleNodes
-  // is sorted and the comparison is strict).
+  // Deterministic fallback: the least-outstanding healthy node of the first
+  // tier that has one. Tiers scan the model's eligible set (sorted) or the
+  // whole fleet in id order with a strict comparison, so ties break to the
+  // lowest node id.
+  struct Tier {
+    bool whole_fleet;  // else the model's eligible nodes only
+    bool untried;      // skip nodes this request already tried
+    bool viable;       // skip quarantined or saturated (doomed) nodes
+  };
+  static constexpr Tier kTiers[] = {
+      {false, true, true},    // an untried, unsaturated replica
+      // Escaping to a fresh node matters more than model affinity: pay the
+      // model switch (the placers' last resort for a fully-dead replica set).
+      {true, true, true},
+      {true, true, false},    // everything viable is saturated: accept the timeout
+      {false, false, false},  // nothing untried anywhere: reuse a tried replica
+      {true, false, false},
+  };
   const std::vector<int> eligible = placer_->EligibleNodes(model_index);
-  int best = -1;
-  for (const int n : eligible) {
-    if (healthy(n) && !tried(n) && !doomed(n) &&
-        (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
+  for (const Tier& tier : kTiers) {
+    int best = -1;
+    auto consider = [&](int n) {
+      if (healthy(n) && !(tier.untried && tried(n)) && !(tier.viable && doomed(n)) &&
+          (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
+        best = n;
+      }
+    };
+    if (tier.whole_fleet) {
+      for (int n = 0; n < config_.num_nodes; ++n) {
+        consider(n);
+      }
+    } else {
+      for (const int n : eligible) {
+        consider(n);
+      }
+    }
+    if (best >= 0 || hedge) {
+      return best;  // a hedge without a viable distinct replica is skipped
     }
   }
-  if (best >= 0 || hedge) {
-    return best;  // a hedge without a viable distinct target is skipped
-  }
-  // Every replica was already tried, is unreachable, or is saturated past the
-  // timeout. Escaping to a fresh node matters more than model affinity here,
-  // so pay the model switch on the least-outstanding healthy untried
-  // unsaturated node (the same last resort the placers use for a fully-dead
-  // replica set).
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && !tried(n) && !doomed(n) &&
-        (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
-    }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  // Everything viable is saturated: take the least-loaded untried node and
-  // accept the likely timeout rather than refuse outright.
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && !tried(n) &&
-        (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
-    }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  // Nothing untried anywhere: reuse a tried replica rather than give up.
-  for (const int n : eligible) {
-    if (healthy(n) && (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
-    }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
-    }
-  }
-  return best;
+  return -1;
 }
 
 void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
@@ -952,21 +758,31 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   Stream* stream = StreamFor(node, req.model);
   Driver* driver = nodes_[node]->driver();
 
-  // The switch kernel is not cancellable work — once the weights start
-  // loading the node pays for them regardless of how the request ends — so
-  // it tracks its outstanding time through its own marker instead of riding
-  // on the attempt's (clawed back at cancellation) request cost.
+  // Charge a model switch when this node's previous launch served another
+  // model (weight load / cache refill before the request can run); a node's
+  // very first request is a cold-start load and counts too. The switch is
+  // not cancellable work — once the weights start loading the node pays for
+  // them however the request ends — so when the attempt can be cancelled
+  // (timeout or hedge on) the switch tracks its outstanding time through its
+  // own marker rather than the attempt's clawed-back cost. An attempt that
+  // can never be cancelled carries both on its completion marker.
+  const bool cancellable = config_.resilience.attempt_timeout > 0 || config_.resilience.hedge;
+  double cost = model.cost_ms;
   if (state.last_model != req.model) {
     const double switch_ms = config_.switch_cost_ms_per_size * model.size;
     if (switch_ms > 0) {
       driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
-      AddOutstanding(node, switch_ms);
-      const uint64_t switch_epoch = state.epoch;
-      driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
-        if (node_state_[node].epoch == switch_epoch) {
-          AddOutstanding(node, -switch_ms);
-        }
-      });
+      if (cancellable) {
+        AddOutstanding(node, switch_ms);
+        const uint64_t switch_epoch = state.epoch;
+        driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
+          if (node_state_[node].epoch == switch_epoch) {
+            AddOutstanding(node, -switch_ms);
+          }
+        });
+      } else {
+        cost += switch_ms;
+      }
       if (measured) {
         ++state.switches_measured;
       }
@@ -978,20 +794,19 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   attempt.node = node;
   attempt.stream = stream;
   attempt.kernel_id = driver->CuLaunchKernel(stream, &request_kernels_[req.model]);
-  attempt.cost_ms = model.cost_ms;
+  attempt.cost_ms = cost;
   attempt.epoch = state.epoch;
   attempt.launch = sim_->Now();
   attempt.open = true;
   attempt.hedge = is_hedge;
-  AddOutstanding(node, model.cost_ms);
 
   const int attempt_idx = static_cast<int>(req.tries.size());
   req.tries.push_back(attempt);
   EmitReq(TraceKind::kReqAttemptLaunch, node, zone_topo_.ZoneOf(node),
           ReqArg(attempt_idx, is_hedge), req.req_id);
   ++feed_.node_attempts[node];
+  AddOutstanding(node, cost);
   const uint32_t gen = req.gen;
-  const double cost = model.cost_ms;
   const uint64_t epoch = state.epoch;
   const uint64_t rid = req.req_id;
   req.tries[attempt_idx].marker_id =
@@ -1006,21 +821,13 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
         }
         AddOutstanding(node, -cost);
         if (ns.partitioned) {
+          // The node finished the work but cannot deliver the result: buffer
+          // it for heal-time delivery (or orphaning, if the node crashes
+          // first).
           ctr_deferred_->Inc();
-          if (trace_ != nullptr) {
-            trace_->Append(sim_->Now(), TraceLayer::kCluster,
-                           TraceKind::kDeferredCompletion, node,
-                           zone_topo_.ZoneOf(node), -1, 0);
-          }
           EmitReq(TraceKind::kReqDeferredFinish, node, zone_topo_.ZoneOf(node),
                   ReqArg(attempt_idx, false), rid);
-          DeferredCompletion d;
-          d.resilient = true;
-          d.epoch = epoch;
-          d.slot = slot;
-          d.gen = gen;
-          d.attempt = attempt_idx;
-          ns.deferred.push_back(d);
+          ns.deferred.push_back({epoch, slot, gen, attempt_idx});
           return;
         }
         OnAttemptComplete(slot, gen, attempt_idx, /*deferred=*/false);
@@ -1047,26 +854,20 @@ void ClusterDispatcher::ArmAttemptTimer(uint32_t slot) {
 }
 
 void ClusterDispatcher::OnAttemptTimeout(uint32_t slot, uint32_t gen) {
-  if (slot >= requests_.size() || !requests_[slot].in_use || requests_[slot].gen != gen) {
+  RequestState* live = LiveRequest(slot, gen);
+  if (live == nullptr) {
     return;
   }
-  RequestState& req = requests_[slot];
+  RequestState& req = *live;
   req.timer_armed = false;
   ctr_timeouts_->Inc();
-  if (!req.tries.empty() && config_.resilience.quarantine > 0) {
-    const int node = req.tries.back().node;
-    quarantine_until_[static_cast<size_t>(req.model) * config_.num_nodes + node] =
-        sim_->Now() + config_.resilience.quarantine;
-  }
-  if (trace_ != nullptr) {
-    const int node = req.tries.empty() ? -1 : req.tries.back().node;
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestTimeout,
-                   node, node >= 0 ? zone_topo_.ZoneOf(node) : -1, req.model,
-                   req.attempts);
-  }
   if (!req.tries.empty()) {
     const int last = static_cast<int>(req.tries.size()) - 1;
     const int node = req.tries[last].node;
+    if (config_.resilience.quarantine > 0) {
+      quarantine_until_[static_cast<size_t>(req.model) * config_.num_nodes + node] =
+          sim_->Now() + config_.resilience.quarantine;
+    }
     ++feed_.node_timeouts[node];
     EmitReq(TraceKind::kReqAttemptTimeout, node, zone_topo_.ZoneOf(node),
             ReqArg(last, false), req.req_id);
@@ -1140,25 +941,19 @@ void ClusterDispatcher::TryRetryOrFail(uint32_t slot) {
         std::min<DurationNs>(rc.backoff_cap, rc.backoff_base << shift);
     const uint32_t gen = req.gen;
     req.timer_event = sim_->ScheduleAfter(backoff, [this, slot, gen] {
-      if (slot >= requests_.size() || !requests_[slot].in_use ||
-          requests_[slot].gen != gen) {
+      RequestState* r = LiveRequest(slot, gen);
+      if (r == nullptr) {
         return;
       }
-      RequestState& r = requests_[slot];
-      r.timer_armed = false;
-      const int node = PickAttemptNode(r.model, r, /*hedge=*/false);
+      r->timer_armed = false;
+      const int node = PickAttemptNode(r->model, *r, /*hedge=*/false);
       if (node < 0) {
-        ++r.attempts;  // consumed: nowhere to go this round
+        ++r->attempts;  // consumed: nowhere to go this round
         TryRetryOrFail(slot);
         return;
       }
-      ++model_retries_[r.model];
+      ++model_retries_[r->model];
       ctr_retries_->Inc();
-      if (trace_ != nullptr) {
-        // payload = attempt number being launched.
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestRetry,
-                       node, zone_topo_.ZoneOf(node), r.model, r.attempts + 1);
-      }
       LaunchAttempt(slot, node, /*is_hedge=*/false);
     });
     req.timer_armed = true;
@@ -1173,20 +968,16 @@ void ClusterDispatcher::TryRetryOrFail(uint32_t slot) {
 }
 
 void ClusterDispatcher::OnAttemptOrphaned(uint32_t slot, uint32_t gen, int attempt) {
-  if (slot >= requests_.size() || !requests_[slot].in_use || requests_[slot].gen != gen) {
+  RequestState* live = LiveRequest(slot, gen);
+  if (live == nullptr) {
     return;  // the request already settled; nothing left to do
   }
-  RequestState& req = requests_[slot];
+  RequestState& req = *live;
   AttemptState& a = req.tries[attempt];
   if (!a.open) {
     return;
   }
   a.open = false;
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kOrphanedCompletion,
-                   a.node, zone_topo_.ZoneOf(a.node), req.model,
-                   sim_->Now() - req.arrival);
-  }
   EmitReq(TraceKind::kReqAttemptOrphan, a.node, zone_topo_.ZoneOf(a.node),
           ReqArg(attempt, a.hedge), req.req_id);
   for (const AttemptState& other : req.tries) {
@@ -1199,10 +990,11 @@ void ClusterDispatcher::OnAttemptOrphaned(uint32_t slot, uint32_t gen, int attem
 
 void ClusterDispatcher::OnAttemptComplete(uint32_t slot, uint32_t gen, int attempt,
                                           bool deferred) {
-  if (slot >= requests_.size() || !requests_[slot].in_use || requests_[slot].gen != gen) {
+  RequestState* live = LiveRequest(slot, gen);
+  if (live == nullptr) {
     return;  // duplicate completion after the request settled
   }
-  RequestState& req = requests_[slot];
+  RequestState& req = *live;
   AttemptState& a = req.tries[attempt];
   if (!a.open) {
     return;
@@ -1224,11 +1016,6 @@ void ClusterDispatcher::OnAttemptComplete(uint32_t slot, uint32_t gen, int attem
   }
   if (deferred) {
     ctr_deferred_delivered_->Inc();
-    if (trace_ != nullptr) {
-      trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDeferredDelivered,
-                     a.node, zone_topo_.ZoneOf(a.node), req.model,
-                     sim_->Now() - req.arrival);
-    }
   }
   EmitReq(TraceKind::kReqComplete, a.node, zone_topo_.ZoneOf(a.node),
           ReqArg(attempt, deferred), req.req_id);
@@ -1253,12 +1040,19 @@ void ClusterDispatcher::FailRequest(uint32_t slot) {
   DisarmTimers(slot);
   ctr_failed_->Inc();
   const int node = req.tries.empty() ? -1 : req.tries.back().node;
-  if (node >= 0 && sim_->Now() >= warmup_end_) {
-    ++node_state_[node].failed_measured;
-  }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDispatchFail,
-                   node, node >= 0 ? zone_topo_.ZoneOf(node) : -1, req.model, 0);
+  if (node >= 0) {
+    if (sim_->Now() >= warmup_end_) {
+      ++node_state_[node].failed_measured;
+    }
+  } else {
+    // No reachable node ever took an attempt, so no node counts the request:
+    // the window counts it directly (dispatched by arrival, failed by now).
+    if (req.arrival >= warmup_end_) {
+      ++unplaced_dispatched_measured_;
+    }
+    if (sim_->Now() >= warmup_end_) {
+      ++unplaced_failed_measured_;
+    }
   }
   EmitReq(TraceKind::kReqFail, node, node >= 0 ? zone_topo_.ZoneOf(node) : -1,
           req.model, req.req_id);
@@ -1336,6 +1130,8 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
     result.total_model_switches += ns.model_switches;
     result.nodes.push_back(ns);
   }
+  result.dispatched += unplaced_dispatched_measured_;
+  result.failed += unplaced_failed_measured_;
   result.recoveries = ctr_recoveries_->value();
   result.fleet_utilization = capacity_total > 0 ? busy_total / capacity_total : 0.0;
   result.used_utilization = capacity_used > 0 ? busy_used / capacity_used : 0.0;

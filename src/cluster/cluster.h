@@ -76,10 +76,11 @@ class GpuNode {
 // --- Cluster serving ---------------------------------------------------------
 
 // Request-level resilience policies for the dispatch path (docs/resilience.md).
-// Disabled by default: the legacy write-off path schedules no extra events and
-// draws no extra randomness, so existing configs stay byte-identical.
+// Every request runs through one state machine; disabled (the default) is its
+// write-off setting, which schedules no extra events and draws no randomness.
 struct ResilienceConfig {
-  // Master switch. When false every other knob is ignored.
+  // Master switch. When false the dispatcher normalises the knobs below to
+  // write-off: one attempt, no timeout, no hedge, no shedding.
   bool enabled = false;
 
   // Sequential attempts per request (first dispatch + retries). A retry is
@@ -224,8 +225,8 @@ struct ClusterResult {
   double migration_gpu_ms = 0;       // GPU-ms charged for checkpoint/restore kernels
 
   // Fault traffic (src/fault/ injection): requests lost because their node
-  // crashed before completion, and replicas re-placed off dead nodes via the
-  // restore-only recovery path.
+  // crashed before completion (or no reachable node could take them), and
+  // replicas re-placed off dead nodes via the restore-only recovery path.
   uint64_t failed = 0;
   uint64_t recoveries = 0;
 
@@ -246,8 +247,13 @@ class ClusterDispatcher {
   // Starts per-model Poisson arrival processes running until `until`.
   void StartArrivals(TimeNs until);
 
-  // Routes one request for models()[model_index] arriving now. Returns the
-  // node chosen by the placement policy.
+  // Admits (or sheds) one request for models()[model_index] arriving now and
+  // launches its first attempt. Lifecycle: each attempt's completion marker
+  // routes to OnAttemptComplete (node reachable), the deferred buffer (node
+  // partitioned), or OnAttemptOrphaned (node crashed — stale epoch). The
+  // request settles on first completion (losers cancelled) or fails after
+  // max_attempts / budget exhaustion. Returns the first attempt's node, or -1
+  // when the request was shed or no reachable node could take it.
   int Dispatch(int model_index);
 
   // Live estimate of queued-but-unfinished GPU ms per node (what the
@@ -354,11 +360,12 @@ class ClusterDispatcher {
 
   // Gray failure: partitions a node off the network. Unlike a crash the
   // node keeps computing — queued work drains and kernels finish — but it
-  // is unreachable: it leaves the placement rotation, new dispatches to it
-  // fail fast (legacy) or retry elsewhere (resilient), and completions that
-  // finish behind the partition are *deferred* — buffered on the node and
-  // delivered (or orphaned, if the request was crashed away or already
-  // settled by a retry/hedge) when the partition heals. Idempotent.
+  // is unreachable: it leaves the placement rotation, new attempts steer
+  // around it (a request with no reachable node left fails or backs off to
+  // retry), and completions that finish behind the partition are *deferred* —
+  // buffered on the node and delivered (or orphaned, if the request was
+  // crashed away or already settled by a retry/hedge) when the partition
+  // heals. Idempotent.
   void PartitionNode(int node);
 
   // Heals a partitioned node: deferred completions are delivered in finish
@@ -393,8 +400,7 @@ class ClusterDispatcher {
   // per-(model, node) breaker, same doomed() avoidance tier, so a fleet with
   // no healthy alternative still serves rather than refusing. Issued by the
   // remediation controller on a gray verdict; extending is monotone, early
-  // lift only via UnquarantineNode (rollback). Resilient dispatch path only,
-  // like the breaker.
+  // lift only via UnquarantineNode (rollback). Steers write-off traffic too.
   void QuarantineNode(int node, TimeNs until);
   void UnquarantineNode(int node);
   bool NodeQuarantined(int node) const;
@@ -423,9 +429,9 @@ class ClusterDispatcher {
   MetricsRegistry& metrics() { return metrics_; }
 
   // Attaches a binary trace recorder (nullptr detaches) to the dispatcher
-  // and to every node's engine (tagged with its node/zone ids): arrivals,
-  // placement decisions, fast-fail admissions, crashes, orphaned
-  // completions, recoveries, and migrations append TraceLayer::kCluster
+  // and to every node's engine (tagged with its node/zone ids): the request
+  // lifecycle (TraceKind 60+), crashes, partitions, orphaned deferred
+  // deliveries, recoveries, and migrations append TraceLayer::kCluster
   // records. See docs/observability.md.
   void SetTrace(TraceRecorder* trace);
 
@@ -437,29 +443,20 @@ class ClusterDispatcher {
   void SetSpanSink(SpanBuilder* sink) { span_sink_ = sink; }
 
   // Cumulative per-node / per-(model, node) dispatch telemetry, maintained
-  // unconditionally on both dispatch paths. The gray-failure detector diffs
+  // on every attempt. The gray-failure detector diffs
   // these window over window (docs/attribution.md).
   const DetectorFeed& detector_feed() const { return feed_; }
 
  private:
   // A completion that finished while its node was partitioned, buffered for
-  // delivery at heal time. Legacy requests carry their sample data inline;
-  // resilient requests carry a (slot, gen, attempt) handle into the request
-  // slab and are re-judged at delivery (the request may have been settled by
-  // a retry or hedge in the meantime).
+  // delivery at heal time: a (slot, gen, attempt) handle into the request
+  // slab, re-judged at delivery (the request may have been settled by a
+  // retry or hedge in the meantime).
   struct DeferredCompletion {
-    bool resilient = false;
-    uint64_t epoch = 0;     // node epoch at dispatch (stale => orphaned)
-    // Legacy payload.
-    int model = -1;
-    TimeNs arrival = 0;
-    double request_ms = 0;  // request-kernel GPU-ms (goodput credit)
-    // Resilient payload.
+    uint64_t epoch = 0;  // node epoch at launch (stale => orphaned)
     uint32_t slot = 0;
     uint32_t gen = 0;
     int attempt = -1;
-    // Request-correlation id for span records at delivery time.
-    uint64_t req_id = 0;
   };
 
   struct NodeState {
@@ -490,7 +487,7 @@ class ClusterDispatcher {
     std::vector<Stream*> model_streams;
   };
 
-  // One dispatch attempt of a resilient request. `open` means the attempt
+  // One dispatch attempt of a request. `open` means the attempt
   // can still deliver: its completion marker is queued or its node is
   // partitioned with the completion deferred.
   struct AttemptState {
@@ -498,14 +495,14 @@ class ClusterDispatcher {
     Stream* stream = nullptr;
     uint64_t kernel_id = 0;   // request-kernel launch id (cancellation)
     uint64_t marker_id = 0;   // completion-marker launch id
-    double cost_ms = 0;       // request-kernel GPU-ms (no switch cost)
+    double cost_ms = 0;       // GPU-ms its marker releases (+ switch if uncancellable)
     uint64_t epoch = 0;       // node epoch at launch
     TimeNs launch = 0;        // launch instant (detector latency samples)
     bool open = false;
     bool hedge = false;       // the hedged duplicate (for hedge-win stats)
   };
 
-  // Slab entry for an in-flight resilient request. Slots are recycled
+  // Slab entry for an in-flight request. Slots are recycled
   // (free-list); `gen` guards stale closures exactly like node epochs.
   struct RequestState {
     uint32_t gen = 0;
@@ -536,14 +533,9 @@ class ClusterDispatcher {
   // in the payload; `arg` is kind-specific (see TraceKind 60+).
   void EmitReq(TraceKind kind, int node, int zone, int32_t arg, uint64_t req_id);
 
-  // --- Resilient dispatch path (config_.resilience.enabled) -----------------
-  // Lifecycle: DispatchResilient admits (or sheds) the request, allocates a
-  // slab slot, and launches attempt 1; each attempt's completion marker
-  // routes to OnAttemptComplete (node reachable), the deferred buffer (node
-  // partitioned), or OnAttemptOrphaned (node crashed — stale epoch). The
-  // request settles on first completion (losers cancelled) or fails after
-  // max_attempts / budget exhaustion.
-  int DispatchResilient(int model_index);
+  // --- Request state machine (see Dispatch) ---------------------------------
+  // The in-use slab entry for (slot, gen), or nullptr once it settled.
+  RequestState* LiveRequest(uint32_t slot, uint32_t gen);
   // Picks a healthy target for the next attempt; prefers the placer's
   // choice, falls back to a least-outstanding scan of the model's eligible
   // nodes (hedges require an untried node). Returns -1 when none qualifies.
@@ -622,7 +614,7 @@ class ClusterDispatcher {
   uint64_t next_request_id_ = 0;  // arrival-order request-correlation ids
   DetectorFeed feed_;
 
-  // Resilient-request slab (empty unless config_.resilience.enabled).
+  // In-flight request slab.
   std::vector<RequestState> requests_;
   std::vector<uint32_t> free_request_slots_;
   // Per-model lifetime dispatch/retry counts backing the retry budget.
@@ -639,6 +631,10 @@ class ClusterDispatcher {
   // both maintained incrementally.
   double total_outstanding_ms_ = 0;
   int active_node_count_ = 0;
+  // Window counts of requests that failed before any node took an attempt
+  // (no node's counters see them; Collect adds them to the totals).
+  uint64_t unplaced_dispatched_measured_ = 0;
+  uint64_t unplaced_failed_measured_ = 0;
 };
 
 // Builds the full cluster stack, runs warmup + duration, and collects fleet

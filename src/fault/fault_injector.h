@@ -52,7 +52,7 @@ struct PowerCapSpec {
 };
 
 // A scripted network partition: the zone keeps computing but is unreachable
-// for `duration` — dispatch to it fails fast, completions finishing behind
+// for `duration` — new attempts steer around it, completions finishing behind
 // the partition are deferred and delivered (or orphaned) on heal. See
 // ClusterDispatcher::PartitionNode for the gray-failure semantics.
 struct PartitionSpec {

@@ -110,8 +110,8 @@ struct FleetFaultResult {
   uint64_t partitions = 0;       // zone partitions applied
   uint64_t failed_requests = 0;  // lifetime, across all phases and gaps
   uint64_t recoveries = 0;       // recovery-log entries
-  // Request-level resilience traffic (lifetime fleet/* counters; zero when
-  // the resilient dispatch path is disabled).
+  // Request-level resilience traffic (lifetime fleet/* counters; retries,
+  // hedges, and timeouts stay zero under write-off).
   uint64_t retries = 0;
   uint64_t hedges = 0;
   uint64_t hedge_wins = 0;

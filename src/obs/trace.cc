@@ -29,12 +29,8 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kDvfsRequest: return "dvfs_request";
     case TraceKind::kDvfsApply: return "dvfs_apply";
     case TraceKind::kEnginePowerGate: return "engine_power_gate";
-    case TraceKind::kArrival: return "arrival";
-    case TraceKind::kPlacement: return "placement";
-    case TraceKind::kDispatchFail: return "dispatch_fail";
     case TraceKind::kNodeCrash: return "node_crash";
     case TraceKind::kNodeRevive: return "node_revive";
-    case TraceKind::kOrphanedCompletion: return "orphaned_completion";
     case TraceKind::kRecoverReplica: return "recover_replica";
     case TraceKind::kDropLostReplica: return "drop_lost_replica";
     case TraceKind::kMigration: return "migration";
@@ -45,13 +41,7 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kFaultApplied: return "fault_applied";
     case TraceKind::kNodePartition: return "node_partition";
     case TraceKind::kNodeHeal: return "node_heal";
-    case TraceKind::kDeferredCompletion: return "deferred_completion";
-    case TraceKind::kDeferredDelivered: return "deferred_delivered";
     case TraceKind::kDeferredOrphaned: return "deferred_orphaned";
-    case TraceKind::kRequestRetry: return "request_retry";
-    case TraceKind::kRequestHedge: return "request_hedge";
-    case TraceKind::kRequestShed: return "request_shed";
-    case TraceKind::kRequestTimeout: return "request_timeout";
     case TraceKind::kReqArrival: return "req_arrival";
     case TraceKind::kReqAttemptLaunch: return "req_attempt_launch";
     case TraceKind::kReqComplete: return "req_complete";
@@ -141,6 +131,34 @@ bool TraceRecorder::WriteFile(const std::string& path) const {
   const bool ok =
       std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   return std::fclose(f) == 0 && ok;
+}
+
+bool ReadTraceFile(const std::string& path, TraceFile* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+    return false;
+  }
+  const TraceFileHeader& h = out->header;
+  const char* problem = nullptr;
+  if (std::fread(&out->header, sizeof(out->header), 1, f) != 1) {
+    problem = "short read on header";
+  } else if (std::memcmp(h.magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
+    problem = "bad magic (not a LithOS trace)";
+  } else if (h.version != kTraceFormatVersion || h.record_size != sizeof(TraceRecord)) {
+    problem = "unsupported format version or record size";
+  } else {
+    out->records.resize(h.record_count);
+    if (h.record_count > 0 && std::fread(out->records.data(), sizeof(TraceRecord),
+                                         h.record_count, f) != h.record_count) {
+      problem = "short read on records";
+    }
+  }
+  std::fclose(f);
+  if (problem != nullptr) {
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), problem);
+  }
+  return problem == nullptr;
 }
 
 void TraceRecorder::Clear() {

@@ -32,7 +32,7 @@
 namespace lithos {
 
 // Which subsystem emitted a record. Values are part of the on-disk format —
-// append only, never renumber (scripts/trace_to_chrome.py mirrors them).
+// append only, never renumber.
 enum class TraceLayer : uint8_t {
   kSim = 0,      // event core: schedule / fire / cancel / reschedule
   kEngine = 1,   // per-GPU execution engine: grants, checkpoints, DVFS, gating
@@ -43,8 +43,10 @@ enum class TraceLayer : uint8_t {
 inline constexpr int kNumTraceLayers = 5;
 
 // What happened. Values are part of the on-disk format — append only, never
-// renumber. Kinds are grouped by layer in disjoint decades so a kind alone
-// identifies its layer when eyeballing raw dumps.
+// renumber, never reuse. Kinds are grouped by layer in disjoint decades so a
+// kind alone identifies its layer when eyeballing raw dumps. Format v2
+// retired 20-22, 25, 52-53, and 55-58: each duplicated a request-correlation
+// kind (60-68), which now carry the whole request lifecycle.
 enum class TraceKind : uint8_t {
   // TraceLayer::kSim — arg = event slot index.
   kEventSchedule = 0,    // payload = absolute fire time (ns)
@@ -62,15 +64,11 @@ enum class TraceKind : uint8_t {
   kEnginePowerGate = 16,  // payload = 1 gated, 0 ungated
 
   // TraceLayer::kCluster — arg = model index unless noted.
-  kArrival = 20,             // payload = request cost (us of GPU work)
-  kPlacement = 21,           // node/zone = chosen target
-  kDispatchFail = 22,        // no healthy replica: request counted failed
-  kNodeCrash = 23,           // payload = queued GPU work written off (ns)
-  kNodeRevive = 24,          // payload = down duration (ns); enables spans
-  kOrphanedCompletion = 25,  // completion from a pre-crash epoch
-  kRecoverReplica = 26,      // replica restored onto node after a crash
-  kDropLostReplica = 27,     // replica abandoned (no healthy target)
-  kMigration = 28,           // arg = model, node = destination
+  kNodeCrash = 23,        // payload = queued GPU work written off (ns)
+  kNodeRevive = 24,       // payload = down duration (ns); enables spans
+  kRecoverReplica = 26,   // replica restored onto node after a crash
+  kDropLostReplica = 27,  // replica abandoned (no healthy target)
+  kMigration = 28,        // arg = model, node = destination
 
   // TraceLayer::kControl — node/zone = -1 for fleet-wide records.
   kScaleTarget = 30,  // arg = desired active nodes, payload = current active
@@ -81,17 +79,10 @@ enum class TraceKind : uint8_t {
   // TraceLayer::kFault — arg = FaultKind enum value.
   kFaultApplied = 40,  // payload = factor in parts-per-million (when scalar)
 
-  // TraceLayer::kCluster, resilience decade (20-28 is full) — arg = model
-  // index unless noted.
-  kNodePartition = 50,      // arg = -1; payload = outstanding GPU work (ns)
-  kNodeHeal = 51,           // arg = -1; payload = partition duration (ns); spans
-  kDeferredCompletion = 52, // completion finished behind a partition
-  kDeferredDelivered = 53,  // payload = request latency at delivery (ns)
-  kDeferredOrphaned = 54,   // deferred completion was stale or a duplicate
-  kRequestRetry = 55,       // node = retry target, payload = attempt number
-  kRequestHedge = 56,       // node = hedge target
-  kRequestShed = 57,        // payload = outstanding watermark excess (ns)
-  kRequestTimeout = 58,     // node = timed-out target, payload = attempt number
+  // TraceLayer::kCluster, partition decade — arg = -1.
+  kNodePartition = 50,     // payload = outstanding GPU work (ns)
+  kNodeHeal = 51,          // payload = partition duration (ns); spans
+  kDeferredOrphaned = 54,  // deferred completion was stale or a duplicate
 
   // TraceLayer::kCluster, request-correlation decade — payload = request id
   // for every kind, so SpanBuilder can stitch per-request span trees from a
@@ -160,7 +151,18 @@ struct TraceFileHeader {
 static_assert(sizeof(TraceFileHeader) == 40, "header is fixed 40 bytes");
 
 inline constexpr char kTraceMagic[8] = {'L', 'I', 'T', 'H', 'T', 'R', 'C', '1'};
-inline constexpr uint32_t kTraceFormatVersion = 1;
+inline constexpr uint32_t kTraceFormatVersion = 2;
+
+// A trace file read back into memory.
+struct TraceFile {
+  TraceFileHeader header;
+  std::vector<TraceRecord> records;
+};
+
+// Reads a file written by TraceRecorder::WriteFile. On failure (I/O, bad
+// magic, another format version or record size, truncation) prints the
+// reason to stderr and returns false.
+bool ReadTraceFile(const std::string& path, TraceFile* out);
 
 class TraceRecorder {
  public:

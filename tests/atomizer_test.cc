@@ -108,11 +108,15 @@ TEST_F(AtomizerTest, AdaptiveScaleIsPerKernel) {
 // Property (Algorithm 1 correctness): for any blocks/duration/allocation, the
 // atom ranges are non-empty, contiguous, non-overlapping, and cover [0, B)
 // exactly once.
+// GoogleTest names each case after the raw bytes of its parameter, so every
+// field is 8 bytes wide: a padded struct would put uninitialised padding into
+// the test names and they would change from build to build.
 struct AtomCase {
-  uint32_t blocks;
+  uint64_t blocks;
   double predicted_ms;
-  int granted;
+  int64_t granted;
 };
+static_assert(sizeof(AtomCase) == 24, "AtomCase must have no padding");
 
 class AtomPartitionTest : public ::testing::TestWithParam<AtomCase> {};
 
@@ -121,8 +125,9 @@ TEST_P(AtomPartitionTest, RangesPartitionGrid) {
   const GpuSpec spec = GpuSpec::A100();
   LithosConfig cfg;
   KernelAtomizer atomizer(cfg);
-  const KernelDesc k = Kernel(c.blocks);
-  const AtomPlan plan = atomizer.Plan(k, FromMillis(c.predicted_ms), c.granted, spec);
+  const KernelDesc k = Kernel(static_cast<uint32_t>(c.blocks));
+  const AtomPlan plan =
+      atomizer.Plan(k, FromMillis(c.predicted_ms), static_cast<int>(c.granted), spec);
 
   ASSERT_GE(plan.NumAtoms(), 1u);
   uint32_t expect_lo = 0;

@@ -329,40 +329,61 @@ TEST(PartitionTest, PartitionDefersThenHealDelivers) {
 }
 
 TEST(PartitionTest, CrashDuringPartitionOrphansDeferredWork) {
-  Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
-  const int node = fleet.Dispatch(0);
-  ASSERT_GE(node, 0);
-  fleet.PartitionNode(node);
-  sim.RunToCompletion();
-  EXPECT_EQ(fleet.metrics().counter("fleet/deferred").value(), 1u);
+  // Same fault under write-off and under retry: the orphan is counted either
+  // way; only what happens to the request afterwards differs.
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry" : "write-off");
+    Simulator sim;
+    ClusterConfig cc = ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded);
+    cc.resilience.enabled = retry;
+    FleetDispatcher fleet(&sim, cc);
+    const int node = fleet.Dispatch(0);
+    ASSERT_GE(node, 0);
+    fleet.PartitionNode(node);
+    // The kernel finishes behind the partition; a retry's attempt timeout
+    // (250 ms) has not fired yet, so the request is still open.
+    sim.RunUntil(FromMillis(100));
+    EXPECT_EQ(fleet.metrics().counter("fleet/deferred").value(), 1u);
 
-  // The partitioned host dies before the partition heals: its buffered
-  // completion is from a dead epoch, so heal orphans it instead of
-  // delivering stale state.
-  fleet.FailNode(node);
-  fleet.HealNode(node);
-  EXPECT_EQ(fleet.completed(), 0u);
-  EXPECT_EQ(fleet.failed(), 1u);
-  EXPECT_EQ(fleet.metrics().counter("fleet/deferred_delivered").value(), 0u);
-  EXPECT_EQ(fleet.metrics().counter("fleet/deferred_orphaned").value(), 1u);
+    // The partitioned host dies before the partition heals: its buffered
+    // completion is from a dead epoch, so heal orphans it instead of
+    // delivering stale state.
+    fleet.FailNode(node);
+    fleet.HealNode(node);
+    EXPECT_EQ(fleet.metrics().counter("fleet/deferred_delivered").value(), 0u);
+    EXPECT_EQ(fleet.metrics().counter("fleet/deferred_orphaned").value(), 1u);
+
+    // Write-off fails the request; retry re-launches it on a survivor.
+    sim.RunToCompletion();
+    EXPECT_EQ(fleet.completed(), retry ? 1u : 0u);
+    EXPECT_EQ(fleet.failed(), retry ? 0u : 1u);
+  }
 }
 
 TEST(PartitionTest, LegacyDispatchFailsFastIntoPartitionedPool) {
-  Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
-  fleet.PartitionZone(0);
-  fleet.PartitionZone(1);
-  EXPECT_TRUE(fleet.ZonePartitioned(0));
-  EXPECT_TRUE(fleet.ZonePartitioned(1));
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry" : "write-off");
+    Simulator sim;
+    ClusterConfig cc = ZonedConfig(2, 2);
+    cc.resilience.enabled = retry;
+    FleetDispatcher fleet(&sim, cc);
+    fleet.PartitionZone(0);
+    fleet.PartitionZone(1);
+    EXPECT_TRUE(fleet.ZonePartitioned(0));
+    EXPECT_TRUE(fleet.ZonePartitioned(1));
 
-  // With every replica unreachable the placer's last resort still names a
-  // node; the write-off path fails the request at admission instead of
-  // launching onto an unreachable host.
-  fleet.Dispatch(0);
-  EXPECT_EQ(fleet.failed(), 1u);
-  EXPECT_EQ(fleet.completed(), 0u);
-  sim.RunToCompletion();
+    // With every node unreachable no attempt can launch: write-off fails the
+    // request at admission, retry backs off until its attempts are spent.
+    EXPECT_EQ(fleet.Dispatch(0), -1);
+    sim.RunToCompletion();
+    EXPECT_EQ(fleet.failed(), 1u);
+    EXPECT_EQ(fleet.completed(), 0u);
+
+    // No node took an attempt, yet the window still counts the request.
+    const ClusterResult window = fleet.Collect(sim.Now());
+    EXPECT_EQ(window.dispatched, 1u);
+    EXPECT_EQ(window.failed, 1u);
+  }
 }
 
 // --- Rack-correlated crashes -------------------------------------------------

@@ -175,18 +175,23 @@ TEST(KernelTest, MakeKernelCalibratesFullDeviceLatency) {
 
 // Property sweep: latency is non-increasing in TPCs and non-decreasing as
 // frequency drops, across a grid of kernel shapes.
+// GoogleTest names each case after the raw bytes of its parameter; `blocks` is
+// 8 bytes wide so the struct has no uninitialised padding to leak into the
+// test names.
 struct LatencyLawCase {
-  uint32_t blocks;
+  uint64_t blocks;
   double parallel;
   double sens;
 };
+static_assert(sizeof(LatencyLawCase) == 24, "LatencyLawCase must have no padding");
 
 class LatencyLawTest : public ::testing::TestWithParam<LatencyLawCase> {};
 
 TEST_P(LatencyLawTest, MonotoneInTpcsAndFrequency) {
   const GpuSpec spec = GpuSpec::A100();
   const LatencyLawCase& c = GetParam();
-  const KernelDesc k = MakeKernel("k", c.blocks, FromMicros(500), c.parallel, c.sens, spec);
+  const KernelDesc k = MakeKernel("k", static_cast<uint32_t>(c.blocks), FromMicros(500),
+                                  c.parallel, c.sens, spec);
 
   DurationNs prev = kTimeInfinity;
   for (int t = 1; t <= spec.TotalTpcs(); ++t) {

@@ -25,7 +25,7 @@ TEST(TraceFormatTest, RecordIs32BytesWithNoPadding) {
   static_assert(sizeof(TraceRecord) == 32);
   static_assert(sizeof(TraceFileHeader) == 40);
   // Field offsets are part of the on-disk format (mirrored by
-  // scripts/trace_to_chrome.py's "<qBBHiiiq").
+  // scripts/trace_reader.py's "<qBBHiiiq").
   EXPECT_EQ(offsetof(TraceRecord, time_ns), 0u);
   EXPECT_EQ(offsetof(TraceRecord, layer), 8u);
   EXPECT_EQ(offsetof(TraceRecord, kind), 9u);
@@ -95,7 +95,7 @@ TEST(TraceRecorderTest, LayerMaskFiltersAtAppendTime) {
   TraceRecorder trace(0);
   trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster));
   trace.Append(1, TraceLayer::kSim, TraceKind::kEventFire, -1, -1, -1, 0);
-  trace.Append(2, TraceLayer::kCluster, TraceKind::kArrival, -1, -1, 3, 0);
+  trace.Append(2, TraceLayer::kCluster, TraceKind::kNodeCrash, -1, -1, 3, 0);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace.Records()[0].time_ns, 2);
   EXPECT_EQ(trace.total(), 1u) << "masked appends never count";

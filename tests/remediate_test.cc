@@ -14,9 +14,9 @@
 namespace lithos {
 namespace {
 
-// A quiet zoned fleet: low load, resilient dispatch on (quarantine steering
-// lives on that path), detector ticking but effectively disabled so only
-// injected verdicts drive the remediation controller.
+// A quiet zoned fleet: low load, resilient dispatch on, detector ticking but
+// effectively disabled so only injected verdicts drive the remediation
+// controller.
 FleetFaultConfig QuietScenario(int num_zones, int nodes_per_zone) {
   FleetFaultConfig config;
   config.cluster.num_nodes = num_zones * nodes_per_zone;

@@ -4,15 +4,16 @@
 //   trace_export <trace.bin>                  one text line per record
 //   trace_export --chrome <trace.bin> [out]   Chrome JSON (stdout by default)
 //
-// The Chrome export mirrors scripts/trace_to_chrome.py (the zero-dependency
-// Python twin CI smoke-tests): pid = zone + 1 (0 = fleet-wide), tid =
-// node + 1, complete ("X") spans reconstructed from kGrantComplete /
-// kNodeRevive duration payloads, flow events ("s"/"t"/"f", id = request id)
-// for the request-correlation records so Perfetto draws causal arrows,
-// instants ("i") for everything else, and
-// timestamps in microseconds (Chrome's unit) at nanosecond precision.
-// Output depends only on the trace bytes, so it is as deterministic as the
-// trace itself.
+// The one Chrome renderer: pid = zone + 1 (0 = fleet-wide), tid = node + 1,
+// complete ("X") spans reconstructed from duration payloads (kGrantComplete,
+// kNodeRevive, kNodeHeal, kRemedyDrainDone), flow events ("s"/"t"/"f", id =
+// request id) for the request-correlation records so Perfetto draws causal
+// arrows, instants ("i") for everything else, and timestamps in microseconds
+// (Chrome's unit) at nanosecond precision. One event per record (plus one
+// process-name event per zone), so the text dump's record count pins the
+// event count. scripts/trace_reader.py is the independent stdlib reader of
+// the same format. Output depends only on the trace bytes, so it is as
+// deterministic as the trace itself.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -25,47 +26,7 @@
 namespace lithos {
 namespace {
 
-struct LoadedTrace {
-  TraceFileHeader header;
-  std::vector<TraceRecord> records;
-};
-
-bool LoadTrace(const char* path, LoadedTrace* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s\n", path);
-    return false;
-  }
-  if (std::fread(&out->header, sizeof(out->header), 1, f) != 1) {
-    std::fprintf(stderr, "error: %s: short read on header\n", path);
-    std::fclose(f);
-    return false;
-  }
-  const TraceFileHeader& h = out->header;
-  if (std::memcmp(h.magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    std::fprintf(stderr, "error: %s: bad magic (not a LithOS trace)\n", path);
-    std::fclose(f);
-    return false;
-  }
-  if (h.version != kTraceFormatVersion || h.record_size != sizeof(TraceRecord)) {
-    std::fprintf(stderr, "error: %s: unsupported version %u / record size %u\n", path,
-                 h.version, h.record_size);
-    std::fclose(f);
-    return false;
-  }
-  out->records.resize(h.record_count);
-  if (h.record_count > 0 &&
-      std::fread(out->records.data(), sizeof(TraceRecord), h.record_count, f) !=
-          h.record_count) {
-    std::fprintf(stderr, "error: %s: short read on records\n", path);
-    std::fclose(f);
-    return false;
-  }
-  std::fclose(f);
-  return true;
-}
-
-int ExportText(const LoadedTrace& trace) {
+int ExportText(const TraceFile& trace) {
   const TraceFileHeader& h = trace.header;
   std::printf("# lithos trace v%u: %" PRIu64 " records (%" PRIu64 " appended, %" PRIu64
               " dropped)\n",
@@ -104,7 +65,7 @@ bool SpanDurationNs(const TraceRecord& r, int64_t* duration_ns, const char** nam
   }
 }
 
-int ExportChrome(const LoadedTrace& trace, std::FILE* out) {
+int ExportChrome(const TraceFile& trace, std::FILE* out) {
   std::fprintf(out, "{\"traceEvents\":[");
   bool first = true;
   auto sep = [&first, out] {
@@ -141,8 +102,7 @@ int ExportChrome(const LoadedTrace& trace, std::FILE* out) {
     // primary launch starts the flow ("s"), every later launch (retry or
     // hedge) is a step ("t"), and the completion finishes it ("f"). The flow
     // id is the request id (payload), which the recorder scopes to the run.
-    // Still one JSON event per record, so record/event count parity with the
-    // text dump and scripts/trace_to_chrome.py holds.
+    // Still one JSON event per record.
     const char* flow_ph = nullptr;
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kReqAttemptLaunch:
@@ -200,8 +160,8 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  LoadedTrace trace;
-  if (!LoadTrace(positional[0], &trace)) {
+  TraceFile trace;
+  if (!ReadTraceFile(positional[0], &trace)) {
     return 1;
   }
   if (!chrome) {
