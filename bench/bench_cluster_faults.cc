@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   uint64_t total_events = 0;
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    total_events += r.events_fired;
+    total_events += r.sim.fired;
     const std::string policy = PlacementPolicyName(grid[i].policy);
     for (const FaultPhaseStats& phase : r.phases) {
       table.AddRow({policy, grid[i].scenario, phase.name, Table::Num(phase.p99_ms, 2),

@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   uint64_t total_events = 0;
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    total_events += r.events_fired;
+    total_events += r.sim.fired;
     for (const FaultPhaseStats& phase : r.phases) {
       table.AddRow({grid[i].scenario, PolicyName(grid[i].policy), phase.name,
                     Table::Num(phase.p99_ms, 2), Table::Num(phase.throughput_rps, 0),

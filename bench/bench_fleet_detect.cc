@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
   uint64_t total_events = 0;
   uint64_t total_scheduled = 0;
   for (const FleetFaultResult& r : results) {
-    total_events += r.events_fired;
+    total_events += r.sim.fired;
     total_scheduled += r.sim.scheduled;
   }
   std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",

@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/autoscale/fleet_controller.h"
+#include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/experiments/harness.h"
 #include "src/obs/metrics.h"
@@ -130,29 +132,19 @@ struct RingTick {
   }
 };
 
+// `trace` (new core only) attaches a binary recorder: every schedule and
+// fire then appends a 32-byte record into a preallocated ring buffer, so the
+// rate measures the *enabled* tracing cost (the disabled path is the nullptr
+// branch every untraced run already pays).
 template <typename Sim>
-double RingEventsPerSec(int64_t total, int ring) {
+double RingEventsPerSec(int64_t total, int ring, TraceRecorder* trace = nullptr) {
   Sim sim;
+  if constexpr (std::is_same_v<Sim, Simulator>) {
+    sim.SetTrace(trace);
+  }
   int64_t fired = 0;
   for (int i = 0; i < ring; ++i) {
     sim.ScheduleAfter(i + 1, RingTick<Sim>{&sim, &fired, ring, total});
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.RunToCompletion();
-  return static_cast<double>(fired) / SecondsSince(t0);
-}
-
-// The same ring with a TraceRecorder attached: every schedule and fire
-// appends a 32-byte record into a preallocated ring buffer, so this measures
-// the *enabled* tracing cost (the disabled path is the nullptr branch the
-// plain run above already pays). The traced/untraced ratio is
-// machine-stable; CI gates it through the wall_metrics baseline.
-double RingEventsPerSecTraced(int64_t total, int ring, TraceRecorder* trace) {
-  Simulator sim;
-  sim.SetTrace(trace);
-  int64_t fired = 0;
-  for (int i = 0; i < ring; ++i) {
-    sim.ScheduleAfter(i + 1, RingTick<Simulator>{&sim, &fired, ring, total});
   }
   const auto t0 = std::chrono::steady_clock::now();
   sim.RunToCompletion();
@@ -295,10 +287,36 @@ int main(int argc, char** argv) {
 
   const double ring_new = RingEventsPerSec<Simulator>(kRingTotal, kRingSize);
   const double ring_legacy = RingEventsPerSec<legacy::Simulator>(kRingTotal, kRingSize);
-  // Ring recorder sized to one segment: appends stay allocation-free, the
-  // recorder keeps the last 64K records (--trace writes them out).
+  // Tracing overhead: traced/untraced ratio of the same ring, one ratio per
+  // back-to-back pair, with the order alternating so neither side always
+  // runs second on a drifting host. The median ratio is gated (CI, through
+  // the wall_metrics baseline); the interquartile range is reported so a
+  // noisy host shows up as spread rather than as a gate failure. Ring
+  // recorder sized to one segment: appends stay allocation-free, and it
+  // keeps the last traced run's final 64K records (--trace writes them out).
+  constexpr int kTracePairs = 9;
   TraceRecorder ring_trace(TraceRecorder::kSegmentRecords);
-  const double ring_traced = RingEventsPerSecTraced(kRingTotal, kRingSize, &ring_trace);
+  PercentileDigest traced_rates;
+  PercentileDigest traced_fractions;
+  for (int pair = 0; pair < kTracePairs; ++pair) {
+    double plain = 0;
+    if (pair % 2 == 1) {
+      plain = RingEventsPerSec<Simulator>(kRingTotal, kRingSize);
+    }
+    ring_trace.Clear();
+    const double traced = RingEventsPerSec<Simulator>(kRingTotal, kRingSize, &ring_trace);
+    if (pair % 2 == 0) {
+      plain = RingEventsPerSec<Simulator>(kRingTotal, kRingSize);
+    }
+    traced_rates.Add(traced);
+    traced_fractions.Add(traced / plain);
+  }
+  traced_rates.Finalize();
+  traced_fractions.Finalize();
+  const double ring_traced = traced_rates.Median();
+  const double ring_traced_fraction = traced_fractions.Median();
+  const double ring_traced_fraction_iqr =
+      traced_fractions.Percentile(75) - traced_fractions.Percentile(25);
   const double churn_new_cancel = ChurnCancelReinsertPerSec<Simulator>(kChurnOps, kChurnPending);
   const double churn_new_resched = ChurnReschedulePerSec(kChurnOps, kChurnPending);
   const double churn_legacy =
@@ -316,10 +334,10 @@ int main(int argc, char** argv) {
                 Table::Num(churn_new_resched / 1e6, 2), Table::Num(churn_speedup, 2)});
   micro.Print();
 
-  const double ring_traced_fraction = ring_new > 0 ? ring_traced / ring_new : 0.0;
-  std::printf("\nTraced ring (binary recorder attached, %zu-record ring): %.2f Mev/s "
-              "(%.0f%% of untraced)\n",
-              TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction);
+  std::printf("\nTraced ring (binary recorder attached, %zu-record ring): %.2f Mev/s, "
+              "%.0f%% of untraced (median of %d alternating pairs, IQR %.3f)\n",
+              TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction,
+              kTracePairs, ring_traced_fraction_iqr);
 
   // Throughput numbers depend on the machine's wall clock, so they go in the
   // jobs-gated wall_metrics section (this bench is always a jobs=1 run).
@@ -328,6 +346,7 @@ int main(int argc, char** argv) {
   json.WallMetric("ring_speedup", ring_speedup);
   json.WallMetric("ring_events_per_sec_traced", ring_traced);
   json.WallMetric("ring_traced_fraction", ring_traced_fraction);
+  json.WallMetric("ring_traced_fraction_iqr", ring_traced_fraction_iqr);
   json.WallMetric("churn_events_per_sec_new_cancel", churn_new_cancel);
   json.WallMetric("churn_events_per_sec_new_reschedule", churn_new_resched);
   json.WallMetric("churn_events_per_sec_legacy", churn_legacy);

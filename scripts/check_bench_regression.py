@@ -8,6 +8,11 @@ benches can emit extra diagnostics freely. All baseline metrics are floors
 ("higher is better"); 0/1 flags like the determinism bits work naturally
 because 1 * (1 - 0.2) = 0.8 still requires the flag to be 1.
 
+Deterministic counters (event counts, ground-truth span counts) live in a
+separate "exact" object. Each must equal the current run's value of the
+same name under its "metrics" object: a counter that rises is as much a
+regression as one that falls, so no tolerance applies to them.
+
 Wall-clock metrics live in a separate "wall_metrics" object and are compared
 only when the current run's recorded "jobs" count matches the baseline's —
 a parallel sweep (--jobs 8) must never fail a serial-era wall-clock floor.
@@ -34,12 +39,16 @@ def load_doc(path):
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         sys.exit(f"{path}: no 'metrics' object")
-    wall = doc.get("wall_metrics")
-    if wall is not None and not isinstance(wall, dict):
-        sys.exit(f"{path}: 'wall_metrics' present but not an object")
+    sections = {}
+    for name in ("exact", "wall_metrics"):
+        section = doc.get(name)
+        if section is not None and not isinstance(section, dict):
+            sys.exit(f"{path}: '{name}' present but not an object")
+        sections[name] = section or {}
     return {
         "metrics": metrics,
-        "wall_metrics": wall or {},
+        "exact": sections["exact"],
+        "wall_metrics": sections["wall_metrics"],
         "jobs": int(doc.get("jobs", 1)),
     }
 
@@ -80,6 +89,18 @@ def compare(section, current, baseline, default_tol, overrides, failures):
             failures.append(f"{key}: {value:.6g} < floor {floor:.6g}")
 
 
+def compare_exact(current, baseline, failures):
+    for key, base_value in sorted(baseline.items()):
+        if key not in current:
+            failures.append(f"{key}: missing from the current run")
+            continue
+        value = current[key]
+        status = "ok" if value == base_value else "FAIL"
+        print(f"{status:4s} [exact] {key}: {value} (expected {base_value})")
+        if value != base_value:
+            failures.append(f"{key}: {value} != {base_value}")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -108,8 +129,9 @@ def main():
     failures = []
     compare("metrics", current["metrics"], baseline["metrics"], args.tolerance, overrides,
             failures)
+    compare_exact(current["metrics"], baseline["exact"], failures)
 
-    compared = len(baseline["metrics"])
+    compared = len(baseline["metrics"]) + len(baseline["exact"])
     if baseline["wall_metrics"]:
         if current["jobs"] == baseline["jobs"]:
             compare("wall", current["wall_metrics"], baseline["wall_metrics"], args.tolerance,

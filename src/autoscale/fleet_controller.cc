@@ -180,7 +180,7 @@ void FleetController::Rebalance(double demand_ms_per_s) {
   }
   // At region scale, pack over the zone-interleaved order so consolidation
   // fills one node per failure domain before reusing a zone — the same
-  // cross-zone anti-affinity the zoned placer starts with.
+  // cross-zone anti-affinity the affinity placer starts with.
   const std::vector<int> pack_order = ZoneInterleave(active, dispatcher_->zone_topology());
 
   // Re-pack at the demanded rate: the same first-fit-decreasing packer the

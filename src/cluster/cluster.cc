@@ -55,17 +55,8 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
   zone_outstanding_ms_.assign(config_.num_zones, 0.0);
 
   const std::vector<FleetModel>& models = fleet_.models();
-  if (config_.num_zones > 1 && config_.policy == PlacementPolicy::kModelAffinity) {
-    // Region scale: hierarchical zone-first dispatch over a cross-zone
-    // anti-affine packing.
-    placer_ = MakeZonedAffinityPlacer(models, zone_topo_, config_.num_nodes,
-                                      config_.aggregate_rps, config_.affinity_target_util,
-                                      &zone_outstanding_ms_);
-  } else {
-    placer_ = MakePlacer(config_.policy, models, config_.num_nodes, config_.aggregate_rps,
-                         config_.affinity_target_util);
-    placer_->SetZoneTopology(zone_topo_);
-  }
+  placer_ = MakePlacer(config_.policy, models, zone_topo_, config_.aggregate_rps,
+                       config_.affinity_target_util);
 
   model_share_ = PopularityShares(models);
   for (size_t i = 0; i < models.size(); ++i) {
@@ -696,7 +687,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   // the request already tried it — a retry after a timeout must not re-join
   // the same backlog, and a hedge needs a node distinct from every prior
   // attempt.
-  const int placed = placer_->Place(model_index, outstanding_ms_);
+  const int placed = placer_->Place(model_index, outstanding_ms_, zone_outstanding_ms_);
   if (placed >= 0 && placed < config_.num_nodes && healthy(placed) && !tried(placed) &&
       !doomed(placed)) {
     return placed;

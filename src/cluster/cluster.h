@@ -16,10 +16,11 @@
 // load-oblivious spraying.
 //
 // At region scale the pool splits into contiguous failure-domain zones
-// (ClusterConfig::num_zones); src/cluster/fleet_dispatcher.h adds the
-// Zone/FleetDispatcher facade and src/fault/ injects crashes, stragglers,
-// power caps, and whole-zone outages against the fault hooks below. See
-// docs/fleet.md for the hierarchy, failure model, and recovery semantics.
+// (ClusterConfig::num_zones, described by the dispatcher's ZoneTopology);
+// src/fault/ injects crashes, stragglers, power caps, and whole-zone outages
+// against the per-node fault hooks below, looping over the topology's zone
+// and rack ranges. See docs/fleet.md for the hierarchy, failure model, and
+// recovery semantics.
 #ifndef LITHOS_CLUSTER_CLUSTER_H_
 #define LITHOS_CLUSTER_CLUSTER_H_
 
@@ -124,9 +125,8 @@ struct ResilienceConfig {
 struct ClusterConfig {
   int num_nodes = 4;
   // Failure domains: nodes are split into this many contiguous, equal-sized
-  // zones (num_nodes must divide evenly when > 1). With more than one zone
-  // the model-affinity policy upgrades to the hierarchical (zone-first)
-  // placer and packing spreads hot models across zones; 1 keeps the flat
+  // zones (num_nodes must divide evenly). The model-affinity policy picks a
+  // zone before a node and packs hot models across zones; 1 keeps the flat
   // pre-hierarchy fleet.
   int num_zones = 1;
   // Sub-zone failure domains: each zone splits into this many contiguous,

@@ -1,96 +1,17 @@
-// Region-scale fleet facade: zones as first-class failure domains.
-//
-// A FleetDispatcher is a ClusterDispatcher whose pool is partitioned into
-// contiguous Zones (racks / PDUs / network domains that fail together) and
-// which exposes zone-level operations: whole-zone outage and repair for the
-// fault injector (src/fault/), and per-zone observability for benches and
-// tests. Routing is hierarchical — the fleet root picks a zone off the
-// incrementally maintained per-zone queued-work aggregates, then the zone's
-// dispatcher stage joins the shortest queue among the model's replicas in
-// that zone (see MakeZonedAffinityPlacer in placement.h) — so per-arrival
-// work stays O(Z_m log R + R/Z) at O(1000) nodes instead of a fleet-wide
-// scan. Recovery after a crash flows through the FleetController: dead
-// replicas are re-placed onto survivors via the restore-only half of the
-// PR-2 checkpoint/restore migration path (docs/fleet.md).
+// Former name of the fleet type. ClusterDispatcher (src/cluster/cluster.h)
+// owns the zone topology and every per-node fault hook, so nothing else
+// lives here. The alias remains because the repo benchmark's program,
+// perfbench/src/stacks.cc, includes this header and spells the old name
+// (it calls only ClusterDispatcher methods). perfbench/ changes only
+// together with the benchmark definition; its next change drops the alias.
 #ifndef LITHOS_CLUSTER_FLEET_DISPATCHER_H_
 #define LITHOS_CLUSTER_FLEET_DISPATCHER_H_
-
-#include <cstdint>
-#include <vector>
 
 #include "src/cluster/cluster.h"
 
 namespace lithos {
 
-// One failure domain: a contiguous range of `num_nodes` GpuNodes.
-class Zone {
- public:
-  Zone(int id, int first_node, int num_nodes)
-      : id_(id), first_node_(first_node), num_nodes_(num_nodes) {}
-
-  int id() const { return id_; }
-  int first_node() const { return first_node_; }
-  int num_nodes() const { return num_nodes_; }
-  // Node ids covered: [begin, end).
-  int begin() const { return first_node_; }
-  int end() const { return first_node_ + num_nodes_; }
-  bool Contains(int node) const { return node >= begin() && node < end(); }
-
- private:
-  int id_;
-  int first_node_;
-  int num_nodes_;
-};
-
-// Point-in-time view of one zone, for benches and the fault-replay tests.
-struct ZoneSnapshot {
-  int zone = 0;
-  int nodes = 0;
-  int failed_nodes = 0;       // crashed and not yet repaired
-  int partitioned_nodes = 0;  // unreachable (computing, undeliverable)
-  int active_nodes = 0;     // in the placement rotation
-  double outstanding_ms = 0;  // queued-but-unfinished GPU-ms across the zone
-  uint64_t dispatched = 0;  // lifetime requests routed into the zone
-};
-
-class FleetDispatcher : public ClusterDispatcher {
- public:
-  // Requires config.num_zones >= 1 and num_nodes divisible by it (the
-  // ClusterDispatcher base enforces the same invariant).
-  FleetDispatcher(Simulator* sim, const ClusterConfig& config);
-
-  const std::vector<Zone>& zones() const { return zones_; }
-  const Zone& zone(int z) const { return zones_[static_cast<size_t>(z)]; }
-
-  // Whole-zone outage: every node in the zone crashes (idempotent per
-  // node). Queued and in-flight work across the zone is written off; see
-  // ClusterDispatcher::FailNode for per-node semantics.
-  void FailZone(int z);
-
-  // Repairs every node in the zone. Repaired nodes rejoin out of rotation;
-  // the control plane re-activates and re-populates them.
-  void ReviveZone(int z);
-
-  // True when every node in the zone is currently failed.
-  bool ZoneFailed(int z) const;
-
-  // Whole-zone network partition: every node keeps computing but becomes
-  // unreachable (idempotent per node). See ClusterDispatcher::PartitionNode
-  // for the gray-failure semantics.
-  void PartitionZone(int z);
-
-  // Heals every node in the zone, delivering deferred completions in finish
-  // order. Healed nodes rejoin out of rotation, like repaired ones.
-  void HealZone(int z);
-
-  // True when every node in the zone is currently partitioned.
-  bool ZonePartitioned(int z) const;
-
-  ZoneSnapshot SnapshotZone(int z) const;
-
- private:
-  std::vector<Zone> zones_;
-};
+using FleetDispatcher = ClusterDispatcher;
 
 }  // namespace lithos
 

@@ -26,9 +26,6 @@ std::vector<PlacementPolicy> AllPlacementPolicies() {
 }
 
 std::vector<int> ZoneInterleave(const std::vector<int>& nodes, const ZoneTopology& topo) {
-  if (topo.num_zones <= 1 || topo.zone_size <= 0) {
-    return nodes;
-  }
   std::vector<std::vector<int>> by_zone(topo.num_zones);
   for (int node : nodes) {
     const int z = topo.ZoneOf(node);
@@ -116,11 +113,15 @@ std::vector<std::vector<int>> PackModels(const std::vector<FleetModel>& models,
 
 // --- Placer base: replica sets and enabled bits ------------------------------
 
-Placer::Placer(int num_nodes, int num_models) : num_nodes_(num_nodes), num_models_(num_models) {
+Placer::Placer(const ZoneTopology& topo, int num_models)
+    : num_nodes_(topo.NumNodes()), num_models_(num_models), topo_(topo) {
+  LITHOS_CHECK_GE(topo.num_zones, 1);
+  LITHOS_CHECK_GT(topo.zone_size, 0);
   std::vector<int> all(num_nodes_);
   std::iota(all.begin(), all.end(), 0);
   replicas_.assign(num_models_, all);
   enabled_.assign(num_nodes_, 1);
+  zone_enabled_.assign(topo.num_zones, topo.zone_size);
 }
 
 const std::vector<int>& Placer::ReplicaNodes(int model_index) const {
@@ -206,26 +207,7 @@ void Placer::SetNodeEnabled(int node, bool enabled) {
     return;
   }
   enabled_[node] = value;
-  if (!zone_enabled_.empty()) {
-    zone_enabled_[topo_.ZoneOf(node)] += enabled ? 1 : -1;
-  }
-}
-
-void Placer::SetZoneTopology(const ZoneTopology& topo) {
-  LITHOS_CHECK_GE(topo.num_zones, 1);
-  topo_ = topo;
-  zone_enabled_.assign(topo.num_zones, 0);
-  for (int n = 0; n < num_nodes_; ++n) {
-    if (enabled_[n]) {
-      ++zone_enabled_[topo_.ZoneOf(n)];
-    }
-  }
-}
-
-int Placer::ZoneEnabledNodes(int zone) const {
-  LITHOS_CHECK_GE(zone, 0);
-  LITHOS_CHECK_LT(zone, static_cast<int>(zone_enabled_.size()));
-  return zone_enabled_[zone];
+  zone_enabled_[topo_.ZoneOf(node)] += enabled ? 1 : -1;
 }
 
 bool Placer::NodeEnabled(int node) const {
@@ -267,13 +249,15 @@ namespace {
 
 class RoundRobinPlacer : public Placer {
  public:
-  RoundRobinPlacer(int num_nodes, int num_models) : Placer(num_nodes, num_models) {}
+  RoundRobinPlacer(const ZoneTopology& topo, int num_models) : Placer(topo, num_models) {}
 
   std::string Name() const override { return PlacementPolicyName(PlacementPolicy::kRoundRobin); }
 
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
+  int Place(int model_index, const std::vector<double>& outstanding_ms,
+            const std::vector<double>& zone_outstanding_ms) override {
     (void)model_index;
     (void)outstanding_ms;
+    (void)zone_outstanding_ms;
     // Cycle the pointer past disabled nodes; with everything disabled the
     // plain cycle is the safety fallback.
     for (int tried = 0; tried < num_nodes_; ++tried) {
@@ -294,66 +278,43 @@ class RoundRobinPlacer : public Placer {
 
 class LeastLoadedPlacer : public Placer {
  public:
-  LeastLoadedPlacer(int num_nodes, int num_models) : Placer(num_nodes, num_models) {}
+  LeastLoadedPlacer(const ZoneTopology& topo, int num_models) : Placer(topo, num_models) {}
 
   std::string Name() const override { return PlacementPolicyName(PlacementPolicy::kLeastLoaded); }
 
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
+  int Place(int model_index, const std::vector<double>& outstanding_ms,
+            const std::vector<double>& zone_outstanding_ms) override {
+    (void)zone_outstanding_ms;
     return PlaceLeastOutstanding(model_index, outstanding_ms);
   }
 };
 
-// Model-affinity: replica sets seeded by PackModels' first-fit-decreasing
-// packing so high-index nodes stay empty and can be powered off or reclaimed;
-// requests join the shortest queue within the model's replica set.
+// Model-affinity, zone first and node second: replica sets seeded by
+// PackModels' first-fit-decreasing packing over the zone-interleaved node
+// order, so high-index nodes stay empty and can be powered off or reclaimed
+// while hot models span zones. Place never scans the whole fleet — it walks
+// the (sorted) replica list one zone at a time, scoring each candidate zone
+// from the dispatcher's per-zone queued-work aggregate, and only the winning
+// zone's replicas are compared individually. With one zone that is the
+// least-outstanding scan over the model's replica set.
 class ModelAffinityPlacer : public Placer {
  public:
-  ModelAffinityPlacer(const std::vector<FleetModel>& models, int num_nodes, double aggregate_rps,
-                      double target_utilization)
-      : Placer(num_nodes, static_cast<int>(models.size())) {
-    std::vector<int> all(num_nodes);
+  ModelAffinityPlacer(const std::vector<FleetModel>& models, const ZoneTopology& topo,
+                      double aggregate_rps, double target_utilization)
+      : Placer(topo, static_cast<int>(models.size())) {
+    std::vector<int> all(num_nodes_);
     std::iota(all.begin(), all.end(), 0);
-    replicas_ = PackModels(models, all, aggregate_rps, target_utilization);
+    replicas_ = PackModels(models, ZoneInterleave(all, topo), aggregate_rps, target_utilization);
   }
 
   std::string Name() const override {
     return PlacementPolicyName(PlacementPolicy::kModelAffinity);
   }
 
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
-    return PlaceLeastOutstanding(model_index, outstanding_ms);
-  }
-};
-
-// Hierarchical dispatch for region-scale fleets: zone first, node second.
-// The replica sets come from PackModels over the zone-interleaved node
-// order, so hot models already span zones; Place then never scans the whole
-// fleet — it walks the (sorted) replica list one zone at a time, scoring
-// each candidate zone from the dispatcher's per-zone queued-work aggregate,
-// and only the winning zone's replicas are compared individually.
-class ZonedAffinityPlacer : public Placer {
- public:
-  ZonedAffinityPlacer(const std::vector<FleetModel>& models, const ZoneTopology& topo,
-                      int num_nodes, double aggregate_rps, double target_utilization,
-                      const std::vector<double>* zone_outstanding_ms)
-      : Placer(num_nodes, static_cast<int>(models.size())),
-        zone_outstanding_ms_(zone_outstanding_ms) {
-    LITHOS_CHECK(zone_outstanding_ms_ != nullptr);
-    LITHOS_CHECK_GT(topo.zone_size, 0);
-    LITHOS_CHECK_EQ(topo.num_zones * topo.zone_size, num_nodes);
-    SetZoneTopology(topo);
-    std::vector<int> all(num_nodes);
-    std::iota(all.begin(), all.end(), 0);
-    replicas_ = PackModels(models, ZoneInterleave(all, topo), aggregate_rps, target_utilization);
-  }
-
-  std::string Name() const override {
-    return PlacementPolicyName(PlacementPolicy::kModelAffinity) + "/zoned";
-  }
-
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
+  int Place(int model_index, const std::vector<double>& outstanding_ms,
+            const std::vector<double>& zone_outstanding_ms) override {
     const std::vector<int>& replicas = ReplicaNodes(model_index);
-    LITHOS_CHECK_EQ(static_cast<int>(zone_outstanding_ms_->size()), topo_.num_zones);
+    LITHOS_CHECK_EQ(static_cast<int>(zone_outstanding_ms.size()), topo_.num_zones);
 
     // Stage 1 (fleet root): walk the sorted replica list zone by zone —
     // upper_bound jumps over each zone's replicas in O(log R) — and pick the
@@ -371,7 +332,7 @@ class ZonedAffinityPlacer : public Placer {
           replicas.begin());
       const int enabled = zone_enabled_[zone];
       if (enabled > 0) {
-        const double score = (*zone_outstanding_ms_)[zone] / enabled;
+        const double score = zone_outstanding_ms[zone] / enabled;
         if (best_zone < 0 || score < best_score) {
           best_zone = zone;
           best_score = score;
@@ -383,7 +344,7 @@ class ZonedAffinityPlacer : public Placer {
     }
     if (best_zone < 0) {
       // Every zone hosting a replica is fully disabled (e.g. the outage took
-      // the model's whole footprint): same fallbacks as the flat placers.
+      // the model's whole footprint): same fallbacks as least-loaded.
       return PlaceLeastOutstanding(model_index, outstanding_ms);
     }
 
@@ -400,33 +361,21 @@ class ZonedAffinityPlacer : public Placer {
     // them; fall back rather than dead-end.
     return best >= 0 ? best : PlaceLeastOutstanding(model_index, outstanding_ms);
   }
-
- private:
-  const std::vector<double>* zone_outstanding_ms_;
 };
 
 }  // namespace
 
-std::unique_ptr<Placer> MakeZonedAffinityPlacer(const std::vector<FleetModel>& models,
-                                                const ZoneTopology& topo, int num_nodes,
-                                                double aggregate_rps, double target_utilization,
-                                                const std::vector<double>* zone_outstanding_ms) {
-  LITHOS_CHECK_GT(num_nodes, 0);
-  return std::make_unique<ZonedAffinityPlacer>(models, topo, num_nodes, aggregate_rps,
-                                               target_utilization, zone_outstanding_ms);
-}
-
 std::unique_ptr<Placer> MakePlacer(PlacementPolicy policy, const std::vector<FleetModel>& models,
-                                   int num_nodes, double aggregate_rps,
+                                   const ZoneTopology& topo, double aggregate_rps,
                                    double target_utilization) {
-  LITHOS_CHECK_GT(num_nodes, 0);
+  const int num_models = static_cast<int>(models.size());
   switch (policy) {
     case PlacementPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinPlacer>(num_nodes, static_cast<int>(models.size()));
+      return std::make_unique<RoundRobinPlacer>(topo, num_models);
     case PlacementPolicy::kLeastLoaded:
-      return std::make_unique<LeastLoadedPlacer>(num_nodes, static_cast<int>(models.size()));
+      return std::make_unique<LeastLoadedPlacer>(topo, num_models);
     case PlacementPolicy::kModelAffinity:
-      return std::make_unique<ModelAffinityPlacer>(models, num_nodes, aggregate_rps,
+      return std::make_unique<ModelAffinityPlacer>(models, topo, aggregate_rps,
                                                    target_utilization);
   }
   return nullptr;

@@ -19,11 +19,12 @@
 // control plane (src/autoscale/) can re-home replicas (live migration) and
 // take nodes in and out of rotation (drain / power-off) mid-run.
 //
-// At region scale the flat O(N) scan becomes the dispatch bottleneck, so a
-// ZoneTopology upgrades model-affinity to a hierarchical two-stage variant
-// ("model-affinity/zoned"): pick the least-loaded zone holding a replica,
-// then the least-loaded replica within it, with replica sets packed in
-// ZoneInterleave order for cross-zone anti-affinity — see docs/fleet.md.
+// Every placer is built over the pool's ZoneTopology. Model-affinity routes
+// in two stages so a region-scale fleet never pays a fleet-wide scan: pick
+// the least-loaded zone holding a replica, then the least-loaded replica
+// within it, with replica sets packed in ZoneInterleave order for cross-zone
+// anti-affinity. At one zone the first stage is trivial and the second is
+// the plain least-outstanding scan — see docs/fleet.md.
 #ifndef LITHOS_CLUSTER_PLACEMENT_H_
 #define LITHOS_CLUSTER_PLACEMENT_H_
 
@@ -48,28 +49,25 @@ std::vector<PlacementPolicy> AllPlacementPolicies();
 // Failure-domain topology: the pool's nodes are split into `num_zones`
 // contiguous zones of `zone_size` nodes each, so zone z owns nodes
 // [z * zone_size, (z + 1) * zone_size). A zone models one blast radius — a
-// rack/PDU/network domain that fails together. num_zones == 1 (or
-// zone_size == 0) is the flat, pre-hierarchy fleet.
+// rack/PDU/network domain that fails together. A flat pool is one zone:
+// {num_zones = 1, zone_size = num_nodes}.
 struct ZoneTopology {
   int num_zones = 1;
-  int zone_size = 0;  // nodes per zone; 0 = flat (everything in zone 0)
+  int zone_size = 0;  // nodes per zone (> 0)
   // Sub-zone failure domains: each zone splits into `racks_per_zone`
   // contiguous racks (a PDU / ToR switch whose nodes crash together under
   // rack-correlated faults). 1 keeps the pre-rack fleet: one rack per zone.
   int racks_per_zone = 1;
 
-  int ZoneOf(int node) const { return zone_size > 0 ? node / zone_size : 0; }
+  int NumNodes() const { return num_zones * zone_size; }
+  int ZoneOf(int node) const { return node / zone_size; }
   int ZoneBegin(int zone) const { return zone * zone_size; }
   int ZoneEnd(int zone) const { return (zone + 1) * zone_size; }
 
-  // Nodes per rack (0 in the flat topology, like zone_size).
-  int RackSize() const { return racks_per_zone > 0 ? zone_size / racks_per_zone : zone_size; }
+  int RackSize() const { return zone_size / racks_per_zone; }
   int NumRacks() const { return num_zones * racks_per_zone; }
   // Rack index within a node's zone ([0, racks_per_zone)).
-  int RackOf(int node) const {
-    const int rack_size = RackSize();
-    return rack_size > 0 ? (node - ZoneBegin(ZoneOf(node))) / rack_size : 0;
-  }
+  int RackOf(int node) const { return (node - ZoneBegin(ZoneOf(node))) / RackSize(); }
   // Node range of rack `rack` in zone `zone`: [RackBegin, RackEnd).
   int RackBegin(int zone, int rack) const { return ZoneBegin(zone) + rack * RackSize(); }
   int RackEnd(int zone, int rack) const { return RackBegin(zone, rack) + RackSize(); }
@@ -107,8 +105,10 @@ class Placer {
 
   // Returns the node index ([0, num_nodes)) for a request of
   // `models[model_index]`. `outstanding_ms` is the dispatcher's live
-  // estimate of queued-but-unfinished GPU milliseconds per node.
-  virtual int Place(int model_index, const std::vector<double>& outstanding_ms) = 0;
+  // estimate of queued-but-unfinished GPU milliseconds per node and
+  // `zone_outstanding_ms` its per-zone sum (one entry per zone).
+  virtual int Place(int model_index, const std::vector<double>& outstanding_ms,
+                    const std::vector<double>& zone_outstanding_ms) = 0;
 
   // Nodes this policy currently routes `model_index` to: the model's replica
   // set intersected with the enabled nodes. Round-robin and least-loaded
@@ -141,20 +141,13 @@ class Placer {
   void SetNodeEnabled(int node, bool enabled);
   bool NodeEnabled(int node) const;
 
-  // Installs a zone topology: from here on SetNodeEnabled maintains a
-  // per-zone enabled-node count, the signal hierarchical placers use to
-  // skip dark zones in O(1) per zone.
-  void SetZoneTopology(const ZoneTopology& topo);
-  const ZoneTopology& zone_topology() const { return topo_; }
-  int ZoneEnabledNodes(int zone) const;
-
   int num_nodes() const { return num_nodes_; }
   int num_models() const { return num_models_; }
 
  protected:
   // Initialises every model's replica set to all nodes (the load-oblivious
   // default); the affinity placer overwrites it with its packing.
-  Placer(int num_nodes, int num_models);
+  Placer(const ZoneTopology& topo, int num_models);
 
   // Least-outstanding choice over the model's routable nodes — the same
   // semantics as EligibleNodes (replicas ∩ enabled with the two fallbacks)
@@ -166,36 +159,30 @@ class Placer {
   int num_models_ = 0;
   std::vector<std::vector<int>> replicas_;  // model -> sorted replica nodes
   std::vector<char> enabled_;               // node -> in rotation?
-  ZoneTopology topo_;                       // flat unless SetZoneTopology ran
-  std::vector<int> zone_enabled_;           // zone -> enabled node count
+  ZoneTopology topo_;
+  // Zone -> enabled node count, kept by SetNodeEnabled: lets the affinity
+  // placer skip dark zones in O(1) per zone.
+  std::vector<int> zone_enabled_;
 };
 
-// Builds a placer.
+// Builds a placer over the pool described by `topo` (topo.NumNodes() nodes).
 //
 // `aggregate_rps` is the fleet-wide mean request rate and
 // `target_utilization` the per-node GPU-time budget the affinity packer
 // fills to (both ignored by the load-oblivious policies). Construction is
 // deterministic: the same inputs always produce the same packing.
+//
+// Model-affinity packs replica sets over the zone-interleaved node order
+// (cross-zone anti-affinity for hot models). Place picks a zone first — the
+// least-loaded zone hosting an enabled replica, scored by
+// `zone_outstanding_ms` averaged over the zone's enabled nodes — then joins
+// the shortest queue among the model's replicas inside that zone.
+// Per-arrival work is O(Z_m log R + R/Z) for R replicas spanning Z_m of Z
+// zones, and the chosen node is a pure function of (replica sets, enabled
+// bits, outstanding work), preserving the determinism contract.
 std::unique_ptr<Placer> MakePlacer(PlacementPolicy policy, const std::vector<FleetModel>& models,
-                                   int num_nodes, double aggregate_rps,
+                                   const ZoneTopology& topo, double aggregate_rps,
                                    double target_utilization);
-
-// Builds the hierarchical (zoned) model-affinity placer: the fleet root of a
-// two-level dispatch. Construction packs replica sets over the
-// zone-interleaved node order (cross-zone anti-affinity for hot models);
-// Place picks a zone first — the least-loaded zone hosting an enabled
-// replica, scored by `zone_outstanding_ms` (the dispatcher's incrementally
-// maintained per-zone queued-work aggregate, averaged over the zone's
-// enabled nodes) — then joins the shortest queue among the model's replicas
-// inside that zone. Per-arrival work is O(Z_m log R + R/Z) for R replicas
-// spanning Z_m of Z zones, versus the flat placer's O(R) scan, and the
-// chosen node is a pure function of (replica sets, enabled bits,
-// outstanding work), preserving the determinism contract.
-// `zone_outstanding_ms` must outlive the placer and hold one entry per zone.
-std::unique_ptr<Placer> MakeZonedAffinityPlacer(const std::vector<FleetModel>& models,
-                                                const ZoneTopology& topo, int num_nodes,
-                                                double aggregate_rps, double target_utilization,
-                                                const std::vector<double>* zone_outstanding_ms);
 
 }  // namespace lithos
 

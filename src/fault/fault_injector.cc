@@ -68,7 +68,7 @@ DurationNs SampleRepair(const RepairModel& model, Rng& rng) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(Simulator* sim, FleetDispatcher* fleet,
+FaultInjector::FaultInjector(Simulator* sim, ClusterDispatcher* fleet,
                              const FaultScenarioConfig& config)
     : sim_(sim), fleet_(fleet), config_(config) {
   LITHOS_CHECK(fleet_ != nullptr);
@@ -301,6 +301,7 @@ void FaultInjector::ApplyFrequency(int node) {
 }
 
 void FaultInjector::Apply(const FaultEvent& event) {
+  const ZoneTopology& topo = fleet_->zone_topology();
   switch (event.kind) {
     case FaultKind::kNodeCrash:
       ++node_crashes_;
@@ -311,12 +312,12 @@ void FaultInjector::Apply(const FaultEvent& event) {
       break;
     case FaultKind::kZoneOutage:
       ++zone_outages_;
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         FailCause(n, +1);
       }
       break;
     case FaultKind::kZoneRepair:
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         FailCause(n, -1);
       }
       break;
@@ -333,41 +334,37 @@ void FaultInjector::Apply(const FaultEvent& event) {
     case FaultKind::kPowerCapStart:
       ++power_caps_;
       zone_cap_[event.zone] = event.factor;
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         ApplyFrequency(n);
       }
       break;
     case FaultKind::kPowerCapEnd:
       zone_cap_[event.zone] = 1.0;
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         ApplyFrequency(n);
       }
       break;
-    case FaultKind::kRackCrash: {
+    case FaultKind::kRackCrash:
       ++rack_crashes_;
-      const ZoneTopology& topo = fleet_->zone_topology();
       for (int n = topo.RackBegin(event.zone, event.rack);
            n < topo.RackEnd(event.zone, event.rack); ++n) {
         FailCause(n, +1);
       }
       break;
-    }
-    case FaultKind::kRackRepair: {
-      const ZoneTopology& topo = fleet_->zone_topology();
+    case FaultKind::kRackRepair:
       for (int n = topo.RackBegin(event.zone, event.rack);
            n < topo.RackEnd(event.zone, event.rack); ++n) {
         FailCause(n, -1);
       }
       break;
-    }
     case FaultKind::kPartitionStart:
       ++partitions_;
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         PartitionCause(n, +1);
       }
       break;
     case FaultKind::kPartitionHeal:
-      for (int n = fleet_->zone(event.zone).begin(); n < fleet_->zone(event.zone).end(); ++n) {
+      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
         PartitionCause(n, -1);
       }
       break;

@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/fleet_dispatcher.h"
+#include "src/cluster/cluster.h"
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
 
@@ -186,7 +186,7 @@ struct GroundTruthSpan {
 class FaultInjector {
  public:
   // Generates the full schedule deterministically; nothing is armed yet.
-  FaultInjector(Simulator* sim, FleetDispatcher* fleet, const FaultScenarioConfig& config);
+  FaultInjector(Simulator* sim, ClusterDispatcher* fleet, const FaultScenarioConfig& config);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -234,7 +234,7 @@ class FaultInjector {
   static std::string FormatEvent(const FaultEvent& event);
 
   Simulator* sim_;
-  FleetDispatcher* fleet_;
+  ClusterDispatcher* fleet_;
   FaultScenarioConfig config_;
   std::vector<FaultEvent> schedule_;
 

@@ -14,7 +14,7 @@ namespace {
 // known-down input. Lives on the scenario stack for the whole run.
 struct DetectorTicker {
   Simulator* sim = nullptr;
-  FleetDispatcher* fleet = nullptr;
+  ClusterDispatcher* fleet = nullptr;
   GrayNodeDetector* detector = nullptr;
   RemediationController* remedy = nullptr;  // ticks right after the detector
   TimeNs horizon = 0;
@@ -71,7 +71,7 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   const TimeNs horizon = config.phases.back().end;
 
   Simulator sim;
-  FleetDispatcher fleet(&sim, config.cluster);
+  ClusterDispatcher fleet(&sim, config.cluster);
   sim.SetTrace(config.trace);
   fleet.SetTrace(config.trace);
   fleet.SetSpanSink(config.spans);
@@ -188,7 +188,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   result.shed = fleet.metrics().counter("fleet/shed").value();
   result.deferred_delivered = fleet.metrics().counter("fleet/deferred_delivered").value();
   result.deferred_orphaned = fleet.metrics().counter("fleet/deferred_orphaned").value();
-  result.events_fired = sim.events_fired();
   result.sim = sim.counters();
   result.metric_phases = fleet.metrics().phases();
   if (detector) {

@@ -119,7 +119,6 @@ struct FleetFaultResult {
   uint64_t shed = 0;
   uint64_t deferred_delivered = 0;
   uint64_t deferred_orphaned = 0;
-  uint64_t events_fired = 0;     // simulator events over the whole run
   SimCounters sim;               // full event-core counters for the run
   // Registry snapshots, one per phase in order: every fleet/* counter as
   // its window delta, gauges at window end (see MetricsRegistry phases).
@@ -155,7 +154,7 @@ struct FleetFaultResult {
   uint64_t remedy_injected_actions = 0;  // actions from synthetic verdicts
 };
 
-// Builds simulator + FleetDispatcher + FleetController + FaultInjector,
+// Builds simulator + ClusterDispatcher + FleetController + FaultInjector,
 // runs to the last phase's end, and collects per-phase metrics.
 // Deterministic for a given config.
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config);

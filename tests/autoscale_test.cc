@@ -72,7 +72,7 @@ TEST(ScalingPolicyTest, DemandEstimatesMatchDesign) {
 
 TEST(PlacementMutationTest, MoveReplicaRehomesAndRefusesBadMoves) {
   const std::vector<FleetModel> models = FleetTelemetry(2026).models();
-  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, 6, 300.0, 0.65);
+  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, 6}, 300.0, 0.65);
 
   const std::vector<int> before = placer->ReplicaNodes(3);
   ASSERT_FALSE(before.empty());
@@ -103,20 +103,20 @@ TEST(PlacementMutationTest, DisabledNodesLeaveTheRotation) {
   const std::vector<FleetModel> models = FleetTelemetry(2026).models();
 
   // Round-robin cycles past a disabled node.
-  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, 3, 300.0, 0.65);
+  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, {1, 3}, 300.0, 0.65);
   rr->SetNodeEnabled(1, false);
   const std::vector<double> load = {0, 0, 0};
-  EXPECT_EQ(rr->Place(0, load), 0);
-  EXPECT_EQ(rr->Place(0, load), 2);
-  EXPECT_EQ(rr->Place(0, load), 0);
+  EXPECT_EQ(rr->Place(0, load, {0.0}), 0);
+  EXPECT_EQ(rr->Place(0, load, {0.0}), 2);
+  EXPECT_EQ(rr->Place(0, load, {0.0}), 0);
 
   // Least-loaded never picks a disabled node even at zero load.
-  auto ll = MakePlacer(PlacementPolicy::kLeastLoaded, models, 3, 300.0, 0.65);
+  auto ll = MakePlacer(PlacementPolicy::kLeastLoaded, models, {1, 3}, 300.0, 0.65);
   ll->SetNodeEnabled(0, false);
-  EXPECT_EQ(ll->Place(0, {0.0, 5.0, 9.0}), 1);
+  EXPECT_EQ(ll->Place(0, {0.0, 5.0, 9.0}, {14.0}), 1);
 
   // Eligibility falls back to enabled nodes when every replica is disabled.
-  auto affinity = MakePlacer(PlacementPolicy::kModelAffinity, models, 3, 300.0, 0.65);
+  auto affinity = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, 3}, 300.0, 0.65);
   for (int n = 0; n < 3; ++n) {
     affinity->SetNodeEnabled(n, false);
   }

@@ -3,11 +3,13 @@
 // summing to the per-node driver/engine statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
+#include "src/common/rng.h"
 #include "src/workloads/fleet.h"
 
 namespace lithos {
@@ -34,7 +36,7 @@ TEST(PlacementTest, PolicyNamesAndRegistry) {
   std::set<std::string> names;
   for (PlacementPolicy policy : AllPlacementPolicies()) {
     names.insert(PlacementPolicyName(policy));
-    auto placer = MakePlacer(policy, TestModels(), 4, 300.0, 0.65);
+    auto placer = MakePlacer(policy, TestModels(), {1, 4}, 300.0, 0.65);
     ASSERT_NE(placer, nullptr);
     EXPECT_EQ(placer->Name(), PlacementPolicyName(policy));
   }
@@ -42,26 +44,26 @@ TEST(PlacementTest, PolicyNamesAndRegistry) {
 }
 
 TEST(PlacementTest, RoundRobinCyclesThroughNodes) {
-  auto placer = MakePlacer(PlacementPolicy::kRoundRobin, TestModels(), 3, 300.0, 0.65);
+  auto placer = MakePlacer(PlacementPolicy::kRoundRobin, TestModels(), {1, 3}, 300.0, 0.65);
   const std::vector<double> load = {0, 0, 0};
   for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(placer->Place(i % 13, load), i % 3);
+    EXPECT_EQ(placer->Place(i % 13, load, {0.0}), i % 3);
   }
 }
 
 TEST(PlacementTest, LeastLoadedPicksMinimumWithDeterministicTies) {
-  auto placer = MakePlacer(PlacementPolicy::kLeastLoaded, TestModels(), 4, 300.0, 0.65);
-  EXPECT_EQ(placer->Place(0, {5.0, 2.0, 9.0, 2.5}), 1);
+  auto placer = MakePlacer(PlacementPolicy::kLeastLoaded, TestModels(), {1, 4}, 300.0, 0.65);
+  EXPECT_EQ(placer->Place(0, {5.0, 2.0, 9.0, 2.5}, {18.5}), 1);
   // Ties break to the lowest index.
-  EXPECT_EQ(placer->Place(0, {3.0, 1.0, 1.0, 1.0}), 1);
-  EXPECT_EQ(placer->Place(0, {0.0, 0.0, 0.0, 0.0}), 0);
+  EXPECT_EQ(placer->Place(0, {3.0, 1.0, 1.0, 1.0}, {6.0}), 1);
+  EXPECT_EQ(placer->Place(0, {0.0, 0.0, 0.0, 0.0}, {0.0}), 0);
 }
 
 TEST(PlacementTest, ModelAffinityPacksColdTailAndFreesNodes) {
   const std::vector<FleetModel> models = TestModels();
   const int num_nodes = 13;
   // Light aggregate load: the whole fleet fits on a few GPUs.
-  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, num_nodes, 300.0, 0.65);
+  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, num_nodes}, 300.0, 0.65);
 
   std::set<int> used;
   for (size_t m = 0; m < models.size(); ++m) {
@@ -73,17 +75,92 @@ TEST(PlacementTest, ModelAffinityPacksColdTailAndFreesNodes) {
   EXPECT_LT(used.size(), models.size() / 2);
 
   // The load-oblivious policies replicate every model everywhere.
-  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, num_nodes, 300.0, 0.65);
+  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, {1, num_nodes}, 300.0, 0.65);
   EXPECT_EQ(rr->EligibleNodes(0).size(), static_cast<size_t>(num_nodes));
 }
 
 TEST(PlacementTest, ModelAffinityConstructionIsDeterministic) {
   const std::vector<FleetModel> models = TestModels();
-  auto a = MakePlacer(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
-  auto b = MakePlacer(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
+  auto a = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, 8}, 500.0, 0.65);
+  auto b = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, 8}, 500.0, 0.65);
   for (size_t m = 0; m < models.size(); ++m) {
     EXPECT_EQ(a->EligibleNodes(static_cast<int>(m)), b->EligibleNodes(static_cast<int>(m)));
   }
+}
+
+// On a one-zone pool the zone-first affinity placer must reduce to the flat
+// join-shortest-queue rule: the least-outstanding enabled replica, ties to
+// the lowest node id, then the two fallbacks — any enabled node when every
+// replica is disabled, any node when nothing is enabled.
+TEST(PlacementTest, OneZoneAffinityPicksLeastOutstandingEnabledReplica) {
+  const std::vector<FleetModel> models = TestModels();
+  constexpr int kNodes = 8;
+  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, {1, kNodes}, 500.0, 0.65);
+  size_t max_replicas = 0;
+  for (int m = 0; m < placer->num_models(); ++m) {
+    max_replicas = std::max(max_replicas, placer->ReplicaNodes(m).size());
+  }
+  ASSERT_GT(max_replicas, 1u) << "no model has a replica set to break ties in";
+
+  // The lowest id among `candidates` holding the minimum load; -1 if none.
+  auto lowest_min = [](const std::vector<int>& candidates, const std::vector<double>& load) {
+    if (candidates.empty()) {
+      return -1;
+    }
+    double min_load = load[candidates[0]];
+    for (int n : candidates) {
+      min_load = std::min(min_load, load[n]);
+    }
+    for (int n : candidates) {
+      if (load[n] == min_load) {
+        return n;
+      }
+    }
+    return -1;
+  };
+
+  Rng rng(2027);
+  int replica_picks = 0, enabled_fallbacks = 0, all_fallbacks = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Few distinct load levels, so ties are common.
+    std::vector<double> load(kNodes);
+    for (double& ms : load) {
+      ms = static_cast<double>(rng.UniformInt(0, 3));
+    }
+    const double enable_odds = 0.25 * static_cast<double>(rng.UniformInt(0, 3));
+    std::vector<int> enabled;
+    for (int n = 0; n < kNodes; ++n) {
+      const bool on = rng.NextDouble() < enable_odds;
+      placer->SetNodeEnabled(n, on);
+      if (on) {
+        enabled.push_back(n);
+      }
+    }
+    const int model = static_cast<int>(rng.UniformInt(0, placer->num_models() - 1));
+
+    std::vector<int> enabled_replicas;
+    for (int n : placer->ReplicaNodes(model)) {
+      if (placer->NodeEnabled(n)) {
+        enabled_replicas.push_back(n);
+      }
+    }
+    std::vector<int> all(kNodes);
+    std::iota(all.begin(), all.end(), 0);
+    int expected = lowest_min(enabled_replicas, load);
+    if (expected >= 0) {
+      ++replica_picks;
+    } else if ((expected = lowest_min(enabled, load)) >= 0) {
+      ++enabled_fallbacks;
+    } else {
+      expected = lowest_min(all, load);
+      ++all_fallbacks;
+    }
+    const double total = std::accumulate(load.begin(), load.end(), 0.0);
+    ASSERT_EQ(placer->Place(model, load, {total}), expected) << "trial " << trial;
+  }
+  EXPECT_GT(replica_picks, 0);
+  EXPECT_GT(enabled_fallbacks, 0);
+  EXPECT_GT(all_fallbacks, 0);
 }
 
 // --- Dispatcher --------------------------------------------------------------

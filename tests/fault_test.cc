@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/autoscale/fleet_controller.h"
-#include "src/cluster/fleet_dispatcher.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
 #include "src/experiments/sweep.h"
 #include "src/fault/fault_injector.h"
@@ -48,13 +48,15 @@ FleetFaultConfig OutageScenario(int num_zones, int nodes_per_zone) {
 
 TEST(ZoneTest, TopologyPartitionsNodes) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(4, 3));
-  ASSERT_EQ(fleet.zones().size(), 4u);
+  ClusterDispatcher fleet(&sim, ZonedConfig(4, 3));
+  const ZoneTopology& topo = fleet.zone_topology();
+  ASSERT_EQ(fleet.num_zones(), 4);
+  ASSERT_EQ(topo.NumNodes(), 12);
   for (int z = 0; z < 4; ++z) {
-    EXPECT_EQ(fleet.zone(z).id(), z);
-    EXPECT_EQ(fleet.zone(z).num_nodes(), 3);
-    for (int n = fleet.zone(z).begin(); n < fleet.zone(z).end(); ++n) {
-      EXPECT_TRUE(fleet.zone(z).Contains(n));
+    EXPECT_EQ(topo.ZoneBegin(z), 3 * z);
+    EXPECT_EQ(topo.ZoneEnd(z) - topo.ZoneBegin(z), 3);
+    for (int n = topo.ZoneBegin(z); n < topo.ZoneEnd(z); ++n) {
+      EXPECT_EQ(topo.ZoneOf(n), z);
       EXPECT_EQ(fleet.ZoneOfNode(n), z);
     }
   }
@@ -74,8 +76,8 @@ TEST(ZoneTest, ZonedPackingSpreadsHotModelsAcrossZones) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(4, 8);
   config.aggregate_rps = 2000.0;  // hot head models need several replicas
-  FleetDispatcher fleet(&sim, config);
-  EXPECT_EQ(fleet.placer().Name(), "model-affinity/zoned");
+  ClusterDispatcher fleet(&sim, config);
+  EXPECT_EQ(fleet.placer().Name(), "model-affinity");
 
   // The most popular model's replicas must span more than one failure
   // domain, so a whole-zone outage leaves live copies elsewhere.
@@ -91,9 +93,14 @@ TEST(ZoneTest, ZonedPackingSpreadsHotModelsAcrossZones) {
 TEST(ZoneTest, ZonedPlacerRoutesAroundDeadZone) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(4, 4);
-  FleetDispatcher fleet(&sim, config);
-  fleet.FailZone(0);
-  EXPECT_TRUE(fleet.ZoneFailed(0));
+  ClusterDispatcher fleet(&sim, config);
+  const ZoneTopology& topo = fleet.zone_topology();
+  for (int n = topo.ZoneBegin(0); n < topo.ZoneEnd(0); ++n) {
+    fleet.FailNode(n);
+  }
+  for (int n = topo.ZoneBegin(0); n < topo.ZoneEnd(0); ++n) {
+    EXPECT_TRUE(fleet.NodeFailed(n)) << "node " << n;
+  }
   EXPECT_EQ(fleet.failed_node_count(), 4);
 
   // Every model stays routable, and nothing routes into the dead zone.
@@ -109,7 +116,7 @@ TEST(ZoneTest, ZonedPlacerRoutesAroundDeadZone) {
 TEST(FaultTest, CrashWritesOffInFlightWork) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded);
-  FleetDispatcher fleet(&sim, config);
+  ClusterDispatcher fleet(&sim, config);
 
   // Put two requests in flight (least-loaded spreads them over two nodes),
   // then crash both hosts before either completes.
@@ -143,7 +150,7 @@ TEST(FaultTest, CrashWritesOffInFlightWork) {
 
 TEST(FaultTest, FailNodeIsIdempotent) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   fleet.FailNode(1);
   fleet.FailNode(1);
   EXPECT_EQ(fleet.failed_node_count(), 1);
@@ -154,7 +161,7 @@ TEST(FaultTest, FailNodeIsIdempotent) {
 
 TEST(FaultTest, RecoverModelReplicaChargesRestoreOnly) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   // Find a model hosted on node 0 and a survivor not hosting it.
   int model = -1;
   for (int m = 0; m < static_cast<int>(fleet.models().size()); ++m) {
@@ -215,8 +222,8 @@ TEST(FaultReplayTest, ScheduleIsPureFunctionOfConfig) {
   scenario.power_caps = {{2, FromSeconds(6), FromSeconds(2), 0.7}};
 
   Simulator sim_a, sim_b;
-  FleetDispatcher fleet_a(&sim_a, ZonedConfig(4, 4));
-  FleetDispatcher fleet_b(&sim_b, ZonedConfig(4, 4));
+  ClusterDispatcher fleet_a(&sim_a, ZonedConfig(4, 4));
+  ClusterDispatcher fleet_b(&sim_b, ZonedConfig(4, 4));
   FaultInjector injector_a(&sim_a, &fleet_a, scenario);
   FaultInjector injector_b(&sim_b, &fleet_b, scenario);
 
@@ -241,7 +248,7 @@ TEST(FaultReplayTest, TraceAndRecoveryAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.recovery_log, b.recovery_log);
   EXPECT_EQ(a.failed_requests, b.failed_requests);
-  EXPECT_EQ(a.events_fired, b.events_fired);
+  EXPECT_EQ(a.sim.fired, b.sim.fired);
   ASSERT_EQ(a.phases.size(), b.phases.size());
   for (size_t i = 0; i < a.phases.size(); ++i) {
     EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
@@ -302,7 +309,7 @@ TEST(FaultReplayTest, SweepGridIsByteIdenticalAcrossJobs) {
 
 TEST(PartitionTest, PartitionDefersThenHealDelivers) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
   const int node = fleet.Dispatch(0);
   ASSERT_GE(node, 0);
 
@@ -336,7 +343,7 @@ TEST(PartitionTest, CrashDuringPartitionOrphansDeferredWork) {
     Simulator sim;
     ClusterConfig cc = ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded);
     cc.resilience.enabled = retry;
-    FleetDispatcher fleet(&sim, cc);
+    ClusterDispatcher fleet(&sim, cc);
     const int node = fleet.Dispatch(0);
     ASSERT_GE(node, 0);
     fleet.PartitionNode(node);
@@ -366,11 +373,16 @@ TEST(PartitionTest, LegacyDispatchFailsFastIntoPartitionedPool) {
     Simulator sim;
     ClusterConfig cc = ZonedConfig(2, 2);
     cc.resilience.enabled = retry;
-    FleetDispatcher fleet(&sim, cc);
-    fleet.PartitionZone(0);
-    fleet.PartitionZone(1);
-    EXPECT_TRUE(fleet.ZonePartitioned(0));
-    EXPECT_TRUE(fleet.ZonePartitioned(1));
+    ClusterDispatcher fleet(&sim, cc);
+    const ZoneTopology& topo = fleet.zone_topology();
+    for (int z = 0; z < topo.num_zones; ++z) {
+      for (int n = topo.ZoneBegin(z); n < topo.ZoneEnd(z); ++n) {
+        fleet.PartitionNode(n);
+      }
+    }
+    for (int n = 0; n < topo.NumNodes(); ++n) {
+      EXPECT_TRUE(fleet.NodePartitioned(n)) << "node " << n;
+    }
 
     // With every node unreachable no attempt can launch: write-off fails the
     // request at admission, retry backs off until its attempts are spent.
@@ -392,7 +404,7 @@ TEST(RackTest, ScriptedRackCrashFailsExactlyTheRack) {
   Simulator sim;
   ClusterConfig cc = ZonedConfig(2, 4);
   cc.racks_per_zone = 2;  // 2-node racks
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   FaultScenarioConfig scenario;
   scenario.seed = 3;
@@ -416,7 +428,7 @@ TEST(RackTest, RandomRackProcessTargetsWholeRacks) {
   Simulator sim;
   ClusterConfig cc = ZonedConfig(2, 4);
   cc.racks_per_zone = 2;
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   FaultScenarioConfig scenario;
   scenario.seed = 21;
@@ -455,7 +467,7 @@ TEST(FaultReplayTest, RepairDistributionDoesNotPerturbCrashDraws) {
   heavy.crash_repair = RepairModel::Weibull(0.7, 2.0);
 
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   FaultInjector injector_fixed(&sim, &fleet, fixed);
   FaultInjector injector_heavy(&sim, &fleet, heavy);
 
@@ -483,7 +495,7 @@ TEST(FaultReplayTest, RepairDistributionDoesNotPerturbCrashDraws) {
 
 TEST(FaultValidationTest, RejectsOutOfRangeZoneAndRack) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
 
   FaultScenarioConfig bad_partition;
   bad_partition.partitions = {{/*zone=*/5, FromSeconds(1), FromSeconds(1)}};
@@ -563,7 +575,7 @@ TEST(ResilienceTest, ShedBoundsOutstandingWork) {
   ClusterConfig cc = ZonedConfig(1, 2);
   cc.resilience.enabled = true;
   cc.resilience.shed_watermark_ms = 5.0;
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   // Slam 200 arrivals into a 2-node pool without letting the sim drain:
   // admission control must kick in and cap the queued backlog.

@@ -317,7 +317,7 @@ TEST(TraceDeterminismTest, FaultScenarioResultsUnchangedByTracing) {
     EXPECT_EQ(untraced.phases[i].p99_ms, traced.phases[i].p99_ms);
     EXPECT_EQ(untraced.phases[i].goodput_ms_per_s, traced.phases[i].goodput_ms_per_s);
   }
-  EXPECT_EQ(untraced.events_fired, traced.events_fired);
+  EXPECT_EQ(untraced.sim.fired, traced.sim.fired);
   EXPECT_EQ(untraced.failed_requests, traced.failed_requests);
 }
 
