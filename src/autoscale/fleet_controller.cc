@@ -10,6 +10,19 @@
 
 namespace lithos {
 
+namespace {
+
+// Scale-down hysteresis: the demand estimate must call for fewer nodes for
+// this many consecutive ticks before any node drains. Scale-up is immediate —
+// growing fast and shedding slowly damps the oscillation a lagging (reactive)
+// signal otherwise rings with.
+constexpr int kScaleDownPatience = 2;
+
+// Outstanding GPU-ms at or below which a draining node counts as empty.
+constexpr double kDrainEpsilonMs = 0.01;
+
+}  // namespace
+
 std::string NodePowerName(NodePower state) {
   switch (state) {
     case NodePower::kActive:
@@ -216,15 +229,9 @@ void FleetController::Rebalance(double demand_ms_per_s) {
       if (!forced && budget <= 0) {
         break;  // partitioned: everything after is unforced too
       }
-      // A crashed source cannot run its checkpoint half — and a partitioned
-      // one cannot be reached to run it: the replica is re-placed through
-      // the restore-only recovery path instead of a full live migration.
-      const bool unreachable = dispatcher_->NodeFailed(removed[i]) ||
-                               dispatcher_->NodePartitioned(removed[i]);
-      const bool moved = unreachable
-                             ? dispatcher_->RecoverModelReplica(model, removed[i], added[j])
-                             : dispatcher_->MigrateModel(model, removed[i], added[j]);
-      if (moved && !forced) {
+      // A crashed or partitioned source takes MigrateModel's restore-only
+      // recovery path.
+      if (dispatcher_->MigrateModel(model, removed[i], added[j]) && !forced) {
         --budget;
       }
       ++i;
@@ -235,11 +242,7 @@ void FleetController::Rebalance(double demand_ms_per_s) {
       if (!forced && budget <= 0) {
         continue;
       }
-      const bool dropped = dispatcher_->NodeFailed(removed[i]) ||
-                                   dispatcher_->NodePartitioned(removed[i])
-                               ? dispatcher_->DropLostReplica(model, removed[i])
-                               : dispatcher_->RemoveModelReplica(model, removed[i]);
-      if (dropped && !forced) {
+      if (dispatcher_->RemoveModelReplica(model, removed[i]) && !forced) {
         --budget;
       }
     }
@@ -259,7 +262,7 @@ void FleetController::CompleteDrains() {
     // deferred results), just unreachable — power stays on until it heals.
     if (states_[n] == NodePower::kDraining &&
         !dispatcher_->NodePartitioned(static_cast<int>(n)) &&
-        outstanding[n] <= config_.drain_epsilon_ms &&
+        outstanding[n] <= kDrainEpsilonMs &&
         dispatcher_->nodes()[n]->engine()->NumRunningGrants() == 0) {
       dispatcher_->PowerGateNode(node, true);
       states_[n] = NodePower::kPoweredOff;
@@ -283,11 +286,11 @@ void FleetController::Tick(TimeNs until) {
   desired = std::clamp(desired, config_.min_nodes, snap.total_nodes);
 
   // Scale-down hysteresis: grow immediately, shed only after the demand has
-  // stayed below the current provision for scale_down_patience ticks.
+  // stayed below the current provision for kScaleDownPatience ticks.
   const int provisioned = powered_on_nodes();
   if (desired < provisioned) {
     ++below_ticks_;
-    if (below_ticks_ < config_.scale_down_patience) {
+    if (below_ticks_ < kScaleDownPatience) {
       desired = provisioned;
     }
   } else {
@@ -335,9 +338,6 @@ AutoscaleResult RunClusterAutoscale(const AutoscaleConfig& config) {
   dispatcher.StartArrivals(horizon);
   controller.Start(horizon);
   sim.ScheduleAt(config.cluster.warmup, [&dispatcher, &controller] {
-    for (const std::unique_ptr<GpuNode>& node : dispatcher.nodes()) {
-      node->engine()->ResetStats();
-    }
     dispatcher.BeginMeasurement();
     controller.ResetAccounting();
   });

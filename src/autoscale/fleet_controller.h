@@ -32,9 +32,9 @@
 // src/fault/ drops out of the placement rotation immediately; at the next
 // tick the controller drains it from its books and the rebalance diff
 // re-places every replica stranded on it onto survivors through
-// ClusterDispatcher::RecoverModelReplica — the restore-only half of the
-// checkpoint/restore migration path, since a dead node cannot execute its
-// checkpoint half. These recovery moves are forced (never budget-capped).
+// ClusterDispatcher::MigrateModel, which takes its restore-only recovery
+// path off a crashed or partitioned source (a dead node cannot execute its
+// checkpoint half). These recovery moves are forced (never budget-capped).
 // A repaired node rejoins exactly like a trough-gated one: powered off and
 // out of rotation until demand wants it back.
 #ifndef LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
@@ -83,15 +83,6 @@ struct AutoscaleConfig {
   // stranded on draining nodes — always complete regardless of the cap, so
   // a drain can finish.
   int max_migrations_per_period = 4;
-
-  // Scale-down hysteresis: the demand estimate must call for fewer nodes
-  // for this many consecutive ticks before any node drains. Scale-up is
-  // immediate — growing fast and shedding slowly damps the oscillation a
-  // lagging (reactive) signal otherwise rings with.
-  int scale_down_patience = 2;
-
-  // Outstanding GPU-ms at or below which a draining node counts as empty.
-  double drain_epsilon_ms = 0.01;
 };
 
 class FleetController {
@@ -153,8 +144,8 @@ class FleetController {
   // node changed state.
   bool ApplyLifecycle(int desired);
   // Re-packs replica sets over the current active set and issues the
-  // migrations the diff requires; replicas on crashed nodes take the
-  // restore-only recovery path.
+  // migrations the diff requires; replicas on crashed or partitioned nodes
+  // take MigrateModel's restore-only recovery path.
   void Rebalance(double demand_ms_per_s);
   void CompleteDrains();
   bool HasStrandedReplicas() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/check.h"
 #include "src/gpu/kernel.h"
@@ -10,6 +9,25 @@
 #include "src/obs/trace.h"
 
 namespace lithos {
+
+namespace {
+
+// Gray-node breaker: after an attempt times out on a node, new attempts for
+// that model steer around the (model, node) pair for this window; a
+// successful completion there clears it early. Queue-depth admission alone
+// cannot see a node whose drain rate silently degraded (stream interference,
+// switch-kernel churn) — the breaker closes the loop with observed timeouts.
+constexpr DurationNs kBreakerWindow = FromMillis(500);
+
+// Per-model retry budget: retries for a model are allowed while
+//   lifetime_retries(m) < kRetryBudgetFraction * lifetime_dispatched(m)
+//                         + kRetryBudgetFloor.
+// Caps retry storms during correlated failures (a meltdown cannot more than
+// ~1.2x the offered load) while leaving isolated faults fully retryable.
+constexpr double kRetryBudgetFraction = 0.2;
+constexpr double kRetryBudgetFloor = 32;
+
+}  // namespace
 
 // --- GpuNode -----------------------------------------------------------------
 
@@ -242,6 +260,9 @@ void ClusterDispatcher::BeginMeasurement() {
   // that arrived earlier stay excluded (their completion callbacks compare
   // against warmup_end_), and everything already accumulated is discarded.
   warmup_end_ = sim_->Now();
+  for (const std::unique_ptr<GpuNode>& node : nodes_) {
+    node->engine()->ResetStats();
+  }
   hist_latency_ms_->Clear();
   g_completed_request_ms_->Reset();
   ctr_migrations_->Reset();
@@ -283,11 +304,9 @@ bool ClusterDispatcher::NodeGated(int node) const {
 
 void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
                                               const KernelDesc* kernel) {
-  // Migration kernels only ever target live, reachable nodes: MigrateModel
-  // sources are draining (not crashed) and recovery charges its restore on a
-  // survivor.
-  LITHOS_CHECK(!node_state_[node].failed);
-  LITHOS_CHECK(!node_state_[node].partitioned);
+  // Migration kernels only ever target live, reachable nodes: a checkpoint
+  // runs only on a reachable source, and every restore lands on a survivor.
+  LITHOS_CHECK(!Unreachable(node));
   const FleetModel& model = fleet_.models()[model_index];
   const double half_ms = 0.5 * config_.migration_cost_ms_per_size * model.size;
   if (half_ms <= 0) {
@@ -318,17 +337,29 @@ bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
   // Arrivals are redirected from this instant (the placer now routes the
   // model to `to`); the checkpoint drains FIFO behind the replica's
   // in-flight requests on `from`, and the restore serialises ahead of the
-  // first redirected request on `to`.
-  if (sim_->Now() >= warmup_end_) {
+  // first redirected request on `to`. Off an unreachable source the move is
+  // a restore-only recovery: the checkpoint half is sunk cost (PhoenixOS
+  // restores from the latest checkpoint image).
+  const bool recovery = Unreachable(from);
+  const bool measured = sim_->Now() >= warmup_end_;
+  if (recovery) {
+    ctr_recoveries_->Inc();
+    ++recovery_actions_;
+  } else if (measured) {
     ctr_migrations_->Inc();
     ++node_state_[from].migrations_out;
+  }
+  if (measured) {
     ++node_state_[to].migrations_in;
   }
   if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kMigration,
-                   to, zone_topo_.ZoneOf(to), model_index, from);
+    trace_->Append(sim_->Now(), TraceLayer::kCluster,
+                   recovery ? TraceKind::kRecoverReplica : TraceKind::kMigration, to,
+                   zone_topo_.ZoneOf(to), model_index, from);
   }
-  ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
+  if (!recovery) {
+    ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
+  }
   ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
   return true;
 }
@@ -345,9 +376,17 @@ bool ClusterDispatcher::AddModelReplica(int model_index, int node) {
 }
 
 bool ClusterDispatcher::RemoveModelReplica(int model_index, int node) {
-  LITHOS_CHECK(!node_state_[node].failed);  // lost replicas go through DropLostReplica
   if (!placer_->RemoveReplica(model_index, node)) {
     return false;
+  }
+  if (Unreachable(node)) {
+    // A copy lost with its node: there is nothing left to checkpoint.
+    ++recovery_actions_;
+    if (trace_ != nullptr) {
+      trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDropLostReplica,
+                     node, zone_topo_.ZoneOf(node), model_index, 0);
+    }
+    return true;
   }
   if (sim_->Now() >= warmup_end_) {
     ++node_state_[node].migrations_out;
@@ -362,10 +401,9 @@ void ClusterDispatcher::FailNode(int node) {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
   NodeState& state = node_state_[node];
-  if (state.failed) {
-    return;
+  if (state.crash_causes++ > 0) {
+    return;  // already down: one more cause to repair
   }
-  state.failed = true;
   ++state.epoch;  // orphans every in-flight completion callback
   state.failed_at = sim_->Now();
   ++failed_node_count_;
@@ -386,10 +424,9 @@ void ClusterDispatcher::ReviveNode(int node) {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
   NodeState& state = node_state_[node];
-  if (!state.failed) {
-    return;
+  if (state.crash_causes == 0 || --state.crash_causes > 0) {
+    return;  // healthy, or another cause still holds the node down
   }
-  state.failed = false;
   --failed_node_count_;
   if (trace_ != nullptr) {
     // payload = how long the node was down, closing the crash span.
@@ -405,17 +442,16 @@ void ClusterDispatcher::ReviveNode(int node) {
 bool ClusterDispatcher::NodeFailed(int node) const {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
-  return node_state_[node].failed;
+  return node_state_[node].crash_causes > 0;
 }
 
 void ClusterDispatcher::PartitionNode(int node) {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
   NodeState& state = node_state_[node];
-  if (state.partitioned) {
-    return;
+  if (state.partition_causes++ > 0) {
+    return;  // already partitioned: one more cause to heal
   }
-  state.partitioned = true;
   state.partitioned_at = sim_->Now();
   ++partitioned_node_count_;
   if (trace_ != nullptr) {
@@ -434,10 +470,9 @@ void ClusterDispatcher::HealNode(int node) {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
   NodeState& state = node_state_[node];
-  if (!state.partitioned) {
-    return;
+  if (state.partition_causes == 0 || --state.partition_causes > 0) {
+    return;  // reachable, or another cause still holds the partition
   }
-  state.partitioned = false;
   --partitioned_node_count_;
   if (trace_ != nullptr) {
     // payload = partition duration, closing the partitioned span.
@@ -474,7 +509,7 @@ void ClusterDispatcher::HealNode(int node) {
 bool ClusterDispatcher::NodePartitioned(int node) const {
   LITHOS_CHECK_GE(node, 0);
   LITHOS_CHECK_LT(node, config_.num_nodes);
-  return node_state_[node].partitioned;
+  return node_state_[node].partition_causes > 0;
 }
 
 void ClusterDispatcher::QuarantineNode(int node, TimeNs until) {
@@ -504,8 +539,7 @@ double ClusterDispatcher::HerdImbalance() const {
   double worst = 0;
   int in_rotation = 0;
   for (int n = 0; n < config_.num_nodes; ++n) {
-    const NodeState& state = node_state_[n];
-    if (state.failed || state.partitioned || nodes_[n]->engine()->power_gated()) {
+    if (Unreachable(n) || nodes_[n]->engine()->power_gated()) {
       continue;
     }
     const double queued = outstanding_ms_[n];
@@ -517,50 +551,6 @@ double ClusterDispatcher::HerdImbalance() const {
     return 0;
   }
   return worst / (sum / in_rotation);
-}
-
-void ClusterDispatcher::AppendRecoveryLog(const char* action, int model_index, int from, int to) {
-  char line[96];
-  std::snprintf(line, sizeof(line), "t=%lldns %s model=%s %d->%d",
-                static_cast<long long>(sim_->Now()), action,
-                fleet_.models()[model_index].id.c_str(), from, to);
-  recovery_log_.push_back(line);
-}
-
-bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
-  // Recovery is for unreachable sources only (crashed or partitioned away)...
-  LITHOS_CHECK(node_state_[from].failed || node_state_[from].partitioned);
-  // ...onto a live, reachable survivor.
-  LITHOS_CHECK(!node_state_[to].failed && !node_state_[to].partitioned);
-  if (from == to || !placer_->MoveReplica(model_index, from, to)) {
-    return false;
-  }
-  ctr_recoveries_->Inc();
-  if (sim_->Now() >= warmup_end_) {
-    ++node_state_[to].migrations_in;
-  }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRecoverReplica,
-                   to, zone_topo_.ZoneOf(to), model_index, from);
-  }
-  // Restore-only: the checkpoint half is sunk cost (PhoenixOS restores from
-  // the latest checkpoint image; the dead node cannot run a kernel).
-  ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
-  AppendRecoveryLog("recover", model_index, from, to);
-  return true;
-}
-
-bool ClusterDispatcher::DropLostReplica(int model_index, int node) {
-  LITHOS_CHECK(node_state_[node].failed || node_state_[node].partitioned);
-  if (!placer_->RemoveReplica(model_index, node)) {
-    return false;
-  }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDropLostReplica,
-                   node, zone_topo_.ZoneOf(node), model_index, 0);
-  }
-  AppendRecoveryLog("drop", model_index, node, node);
-  return true;
 }
 
 // --- Request state machine ---------------------------------------------------
@@ -657,8 +647,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
     // Gate check matters for repaired hosts: between ReviveNode and the next
     // control tick re-activating them, the node looks fine in node_state_
     // but its engine is still powered dark and cannot accept a launch.
-    return !node_state_[n].failed && !node_state_[n].partitioned &&
-           !nodes_[n]->engine()->power_gated();
+    return !Unreachable(n) && !nodes_[n]->engine()->power_gated();
   };
   // A node whose queued work plus this request's cost already exceeds the
   // attempt timeout is a black hole: the attempt is guaranteed to time out,
@@ -740,7 +729,6 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   NodeState& state = node_state_[node];
   const FleetModel& model = fleet_.models()[req.model];
   const bool measured = sim_->Now() >= warmup_end_;
-  ++state.dispatched;  // every attempt marks the node used
   if (req.tries.empty() && measured) {
     ++state.dispatched_measured;  // the request itself counts once
   }
@@ -811,7 +799,7 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
           return;
         }
         AddOutstanding(node, -cost);
-        if (ns.partitioned) {
+        if (ns.partition_causes > 0) {
           // The node finished the work but cannot deliver the result: buffer
           // it for heal-time delivery (or orphaning, if the node crashes
           // first).
@@ -855,10 +843,8 @@ void ClusterDispatcher::OnAttemptTimeout(uint32_t slot, uint32_t gen) {
   if (!req.tries.empty()) {
     const int last = static_cast<int>(req.tries.size()) - 1;
     const int node = req.tries[last].node;
-    if (config_.resilience.quarantine > 0) {
-      quarantine_until_[static_cast<size_t>(req.model) * config_.num_nodes + node] =
-          sim_->Now() + config_.resilience.quarantine;
-    }
+    quarantine_until_[static_cast<size_t>(req.model) * config_.num_nodes + node] =
+        sim_->Now() + kBreakerWindow;
     ++feed_.node_timeouts[node];
     EmitReq(TraceKind::kReqAttemptTimeout, node, zone_topo_.ZoneOf(node),
             ReqArg(last, false), req.req_id);
@@ -880,8 +866,7 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
   if (!a.open) {
     return false;
   }
-  NodeState& ns = node_state_[a.node];
-  if (ns.epoch != a.epoch || ns.failed || ns.partitioned) {
+  if (node_state_[a.node].epoch != a.epoch || Unreachable(a.node)) {
     return false;  // unreachable: nothing to send the cancel to
   }
   Driver* driver = nodes_[a.node]->driver();
@@ -912,10 +897,9 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
 }
 
 bool ClusterDispatcher::RetryBudgetAllows(int model_index) const {
-  const ResilienceConfig& rc = config_.resilience;
-  const double budget = rc.retry_budget_fraction *
-                            static_cast<double>(model_dispatched_[model_index]) +
-                        static_cast<double>(rc.retry_budget_floor);
+  const double budget =
+      kRetryBudgetFraction * static_cast<double>(model_dispatched_[model_index]) +
+      kRetryBudgetFloor;
   return static_cast<double>(model_retries_[model_index]) < budget;
 }
 
@@ -1109,7 +1093,7 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
     capacity_total += capacity;
     // A node counts as used if the policy ever routed to it (lifetime), so
     // warm-up-only traffic still marks a GPU as occupied.
-    if (node_state_[n].dispatched > 0) {
+    if (feed_.node_attempts[n] > 0) {
       ++result.nodes_used;
       busy_used += engine.busy_tpc_seconds;
       capacity_used += capacity;
@@ -1153,12 +1137,7 @@ ClusterResult RunClusterServing(const ClusterConfig& config) {
   const TimeNs horizon = config.warmup + config.duration;
   dispatcher.SetWarmupEnd(config.warmup);
   dispatcher.StartArrivals(horizon);
-  sim.ScheduleAt(config.warmup, [&dispatcher] {
-    for (const std::unique_ptr<GpuNode>& node : dispatcher.nodes()) {
-      node->engine()->ResetStats();
-    }
-    dispatcher.BeginMeasurement();
-  });
+  sim.ScheduleAt(config.warmup, [&dispatcher] { dispatcher.BeginMeasurement(); });
   sim.RunUntil(horizon);
   return dispatcher.Collect(config.duration);
 }

@@ -93,23 +93,6 @@ struct ResilienceConfig {
   DurationNs backoff_base = FromMillis(20);
   DurationNs backoff_cap = FromMillis(160);
 
-  // Gray-node breaker: after an attempt times out on a node, new attempts
-  // for that model steer around the (model, node) pair for this window; a
-  // successful completion there clears it early. Queue-depth admission
-  // alone cannot see a node whose drain rate silently degraded (stream
-  // interference, switch-kernel churn) — the breaker closes the loop with
-  // observed timeouts. 0 disables.
-  DurationNs quarantine = FromMillis(500);
-
-  // Per-model retry budget: retries for a model are allowed while
-  // lifetime_retries(m) < retry_budget_fraction * lifetime_dispatched(m)
-  //                      + retry_budget_floor.
-  // Caps retry storms during correlated failures (a meltdown cannot more
-  // than ~1.2x the offered load) while leaving isolated faults fully
-  // retryable.
-  double retry_budget_fraction = 0.2;
-  uint64_t retry_budget_floor = 32;
-
   // Hedged dispatch: if the first attempt has not completed after
   // hedge_delay, launch one duplicate on a distinct healthy node; first
   // completion wins and the loser is cancelled through the driver/engine
@@ -262,7 +245,8 @@ class ClusterDispatcher {
 
   uint64_t dispatched() const { return ctr_dispatched_->value(); }
   uint64_t completed() const { return ctr_completed_->value(); }
-  uint64_t dispatched_to(int node) const { return node_state_[node].dispatched; }
+  // Attempts launched on `node` (lifetime; non-zero marks the node used).
+  uint64_t dispatched_to(int node) const { return feed_.node_attempts[node]; }
 
   // Pre-arms the warm-up cutoff: samples and counters for requests arriving
   // before `t` are excluded even while the clock is still short of `t`.
@@ -272,7 +256,7 @@ class ClusterDispatcher {
   // every accumulated statistic (latency digest, fleet and per-node
   // counters), clears the per-node model sets, and snapshots the driver
   // launch counters — so every ClusterNodeStats counter covers one window.
-  // Call at warm-up end, alongside the engines' ResetStats().
+  // Also resets every node engine's statistics. Call at warm-up end.
   void BeginMeasurement();
 
   // Snapshots fleet metrics; `measured` is the post-warm-up window length.
@@ -318,12 +302,18 @@ class ClusterDispatcher {
   // as kernels — a checkpoint on the source stream (FIFO-ordered behind the
   // replica's in-flight requests, i.e. the drain) and a restore on the
   // destination stream (serialising before the first redirected request).
-  // Returns false (charging nothing) if the placer refuses the move.
+  // When `from` is crashed or partitioned the move is a *recovery*: only
+  // the restore is charged — the checkpoint half already happened
+  // (PhoenixOS-style: restore from the latest checkpoint; an unreachable
+  // node cannot execute anything) — and it counts in recoveries() rather
+  // than migrations(). Returns false (charging nothing) if the placer
+  // refuses the move.
   bool MigrateModel(int model_index, int from, int to);
 
   // Replica-set growth/shrink with the matching one-sided costs: a clone
   // charges only the restore on `node`; a retire charges only the
-  // checkpoint. Both fail (charging nothing) if the placer refuses.
+  // checkpoint — or nothing when the copy was lost on a crashed or
+  // partitioned node. Both fail (charging nothing) if the placer refuses.
   bool AddModelReplica(int model_index, int node);
   bool RemoveModelReplica(int model_index, int node);
 
@@ -347,12 +337,17 @@ class ClusterDispatcher {
   // credit), and its device memory is forgotten (last-served model resets,
   // so a revived node cold-starts). Kernels already on the simulated device
   // still burn to completion — the simulation discards their results rather
-  // than rewriting engine history. Idempotent.
+  // than rewriting engine history. Counted: each call adds one down cause
+  // (an injected crash, a zone or rack outage, a forced restart), and only
+  // the first crashes the node.
   void FailNode(int node);
 
-  // Repairs a crashed node. It returns *out of rotation* (and typically
-  // power-gated by then): the control plane decides when to re-activate it,
-  // exactly as it does for a node woken from the diurnal trough.
+  // Releases one down cause (a no-op on a healthy node). The node is
+  // repaired only when its last cause is released, so overlapping causes
+  // from different owners never bring it back early. It returns *out of
+  // rotation* (and typically power-gated by then): the control plane
+  // decides when to re-activate it, exactly as it does for a node woken
+  // from the diurnal trough.
   void ReviveNode(int node);
 
   bool NodeFailed(int node) const;
@@ -365,12 +360,13 @@ class ClusterDispatcher {
   // retry), and completions that finish behind the partition are *deferred* —
   // buffered on the node and delivered (or orphaned, if the request was
   // crashed away or already settled by a retry/hedge) when the partition
-  // heals. Idempotent.
+  // heals. Counted like FailNode: each call adds one partition cause.
   void PartitionNode(int node);
 
-  // Heals a partitioned node: deferred completions are delivered in finish
-  // order, then the node rejoins *out of rotation* (the control plane
-  // re-activates it, as after a crash repair).
+  // Releases one partition cause (a no-op on a reachable node). When the
+  // last is released the node heals: deferred completions are delivered in
+  // finish order, then the node rejoins *out of rotation* (the control
+  // plane re-activates it, as after a crash repair).
   void HealNode(int node);
 
   bool NodePartitioned(int node) const;
@@ -379,19 +375,12 @@ class ClusterDispatcher {
   // Requests lost to crashes (lifetime; per-window counts come via Collect).
   uint64_t failed() const { return ctr_failed_->value(); }
 
-  // Crash recovery: re-homes a replica stranded on crashed node `from` onto
-  // healthy node `to`, charging only the restore kernel on `to` — the
-  // checkpoint half already happened (PhoenixOS-style: restore from the
-  // latest checkpoint; the dead node cannot execute anything). `from` must
-  // be failed and `to` healthy. Returns false if the placer refuses.
-  bool RecoverModelReplica(int model_index, int from, int to);
-
-  // Shrinks a replica set by a copy lost on crashed `node`, charging no
-  // kernel anywhere (there is nothing left to checkpoint). Used when the
-  // target packing wants fewer replicas than survived the crash.
-  bool DropLostReplica(int model_index, int node);
-
+  // Restore-only migrations off unreachable nodes in the measurement window.
   uint64_t recoveries() const { return ctr_recoveries_->value(); }
+  // Recovery actions since construction: restore-only migrations plus lost
+  // replicas dropped (MigrateModel / RemoveModelReplica off an unreachable
+  // node). Not a registry instrument, so phase snapshots keep their keys.
+  uint64_t recovery_actions() const { return recovery_actions_; }
 
   // --- Remediation hooks (src/remediate/) -----------------------------------
 
@@ -412,11 +401,6 @@ class ClusterDispatcher {
   // empty — shows up as a high max/mean ratio; the remediation controller's
   // load-aware rebalancing keys on it (docs/remediation.md).
   double HerdImbalance() const;
-
-  // Append-only, deterministically formatted record of every recovery
-  // action (RecoverModelReplica / DropLostReplica) since construction; the
-  // fault-replay tests compare it byte-for-byte across runs.
-  const std::vector<std::string>& recovery_log() const { return recovery_log_; }
 
   // --- Observability --------------------------------------------------------
 
@@ -461,16 +445,15 @@ class ClusterDispatcher {
 
   struct NodeState {
     int last_model = -1;                 // model of the most recent launch
-    uint64_t dispatched = 0;             // lifetime; identifies used nodes
-    // Crash state: `epoch` advances on every FailNode, and completion
-    // callbacks capture the epoch they were dispatched under — a stale
-    // epoch at completion means the node crashed in between and the work is
-    // discounted as failed.
-    bool failed = false;
+    // Crash state: the node is down while crash_causes > 0. `epoch`
+    // advances on every crash, and completion callbacks capture the epoch
+    // they were dispatched under — a stale epoch at completion means the
+    // node crashed in between and the work is discounted as failed.
+    int crash_causes = 0;
     uint64_t epoch = 0;
     TimeNs failed_at = 0;                // crash instant (for down-span traces)
     // Gray-failure state: a partitioned node computes but cannot deliver.
-    bool partitioned = false;
+    int partition_causes = 0;
     TimeNs partitioned_at = 0;
     std::vector<DeferredCompletion> deferred;  // finish-order buffer
     // Measurement-window counters reported through ClusterNodeStats.
@@ -528,7 +511,10 @@ class ClusterDispatcher {
   // Adjusts a node's outstanding-work estimate (clamped at zero) and keeps
   // the per-zone and fleet-total aggregates in sync.
   void AddOutstanding(int node, double delta_ms);
-  void AppendRecoveryLog(const char* action, int model_index, int from, int to);
+  // Crashed or partitioned: no kernel can be launched on or cancelled at it.
+  bool Unreachable(int node) const {
+    return node_state_[node].crash_causes > 0 || node_state_[node].partition_causes > 0;
+  }
   // Emits one request-correlation record (trace + span sink). `req_id` rides
   // in the payload; `arg` is kind-specific (see TraceKind 60+).
   void EmitReq(TraceKind kind, int node, int zone, int32_t arg, uint64_t req_id);
@@ -607,7 +593,7 @@ class ClusterDispatcher {
   Histogram* hist_latency_ms_ = nullptr;
   int failed_node_count_ = 0;
   int partitioned_node_count_ = 0;
-  std::vector<std::string> recovery_log_;
+  uint64_t recovery_actions_ = 0;  // lifetime; see recovery_actions()
   TimeNs warmup_end_ = 0;
   TraceRecorder* trace_ = nullptr;
   SpanBuilder* span_sink_ = nullptr;

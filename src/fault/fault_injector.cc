@@ -44,6 +44,18 @@ const char* FaultKindName(FaultKind kind) {
 
 namespace {
 
+constexpr bool Paired(FaultKind start, FaultKind end) {
+  return static_cast<int>(start) % 2 == 0 &&
+         static_cast<int>(end) == static_cast<int>(start) + 1;
+}
+static_assert(Paired(FaultKind::kNodeCrash, FaultKind::kNodeRepair));
+static_assert(Paired(FaultKind::kStragglerStart, FaultKind::kStragglerEnd));
+static_assert(Paired(FaultKind::kZoneOutage, FaultKind::kZoneRepair));
+static_assert(Paired(FaultKind::kPowerCapStart, FaultKind::kPowerCapEnd));
+static_assert(Paired(FaultKind::kRackCrash, FaultKind::kRackRepair));
+static_assert(Paired(FaultKind::kPartitionStart, FaultKind::kPartitionHeal));
+static_assert(static_cast<int>(FaultKind::kPartitionHeal) + 1 == kNumFaultKinds);
+
 // One repair delay. kFixed consumes no Rng draws (legacy schedules stay
 // byte-identical); the heavy-tailed distributions consume exactly one
 // logical draw each (LogNormal uses the Rng's Box-Muller pair internally,
@@ -75,9 +87,7 @@ FaultInjector::FaultInjector(Simulator* sim, ClusterDispatcher* fleet,
   const int num_nodes = fleet_->config().num_nodes;
   const int num_zones = fleet_->num_zones();
   const ZoneTopology& topo = fleet_->zone_topology();
-  fail_causes_.assign(num_nodes, 0);
   straggle_causes_.assign(num_nodes, 0);
-  partition_causes_.assign(num_nodes, 0);
   zone_cap_.assign(num_zones, 1.0);
 
   // Scripted events first, in declaration order.
@@ -202,52 +212,26 @@ std::vector<std::string> FaultInjector::ScheduleLines() const {
 
 std::vector<GroundTruthSpan> FaultInjector::GroundTruthSpans(TimeNs horizon) const {
   std::vector<GroundTruthSpan> out;
-  // Open-interval bookkeeping: FIFO per (kind-category, target), matching
-  // how overlapping causes repair in Apply() (first start, first end).
-  std::map<int, std::vector<size_t>> open_crash, open_straggle, open_outage,
-      open_cap, open_partition, open_rack;
-
-  auto start = [&](std::map<int, std::vector<size_t>>& open, int key,
-                   const FaultEvent& e) {
-    GroundTruthSpan span;
-    span.kind = e.kind;
-    span.zone = e.zone;
-    span.node = e.node;
-    span.rack = e.rack;
-    span.start = e.at;
-    span.end = horizon;  // provisional: still open at the horizon
-    span.factor = e.factor;
-    open[key].push_back(out.size());
-    out.push_back(span);
-  };
-  auto end = [&](std::map<int, std::vector<size_t>>& open, int key,
-                 const FaultEvent& e) {
-    auto it = open.find(key);
-    if (it == open.end() || it->second.empty()) {
-      return;  // unmatched end (scripted end without a start): ignore
-    }
-    out[it->second.front()].end = e.at;
-    it->second.erase(it->second.begin());
-  };
-
+  // Open intervals, FIFO per (start kind, first target node): overlapping
+  // causes on one target pair up first start, first end.
+  std::map<std::pair<int, int>, std::vector<size_t>> open;
   for (const FaultEvent& e : schedule_) {
-    switch (e.kind) {
-      case FaultKind::kNodeCrash: start(open_crash, e.node, e); break;
-      case FaultKind::kNodeRepair: end(open_crash, e.node, e); break;
-      case FaultKind::kStragglerStart: start(open_straggle, e.node, e); break;
-      case FaultKind::kStragglerEnd: end(open_straggle, e.node, e); break;
-      case FaultKind::kZoneOutage: start(open_outage, e.zone, e); break;
-      case FaultKind::kZoneRepair: end(open_outage, e.zone, e); break;
-      case FaultKind::kPowerCapStart: start(open_cap, e.zone, e); break;
-      case FaultKind::kPowerCapEnd: end(open_cap, e.zone, e); break;
-      case FaultKind::kPartitionStart: start(open_partition, e.zone, e); break;
-      case FaultKind::kPartitionHeal: end(open_partition, e.zone, e); break;
-      case FaultKind::kRackCrash:
-        start(open_rack, e.zone * 4096 + e.rack, e);
-        break;
-      case FaultKind::kRackRepair:
-        end(open_rack, e.zone * 4096 + e.rack, e);
-        break;
+    const int kind = static_cast<int>(e.kind);
+    std::vector<size_t>& fifo = open[{kind & ~1, NodeRange(e).first}];
+    if ((kind & 1) == 0) {
+      GroundTruthSpan span;
+      span.kind = e.kind;
+      span.zone = e.zone;
+      span.node = e.node;
+      span.rack = e.rack;
+      span.start = e.at;
+      span.end = horizon;  // provisional: still open at the horizon
+      span.factor = e.factor;
+      fifo.push_back(out.size());
+      out.push_back(span);
+    } else if (!fifo.empty()) {  // an unmatched end (no start) is ignored
+      out[fifo.front()].end = e.at;
+      fifo.erase(fifo.begin());
     }
   }
 
@@ -272,24 +256,15 @@ void FaultInjector::Arm() {
   }
 }
 
-void FaultInjector::FailCause(int node, int delta) {
-  fail_causes_[node] += delta;
-  LITHOS_CHECK_GE(fail_causes_[node], 0);
-  if (delta > 0 && fail_causes_[node] == 1) {
-    fleet_->FailNode(node);
-  } else if (delta < 0 && fail_causes_[node] == 0) {
-    fleet_->ReviveNode(node);
+std::pair<int, int> FaultInjector::NodeRange(const FaultEvent& event) const {
+  const ZoneTopology& topo = fleet_->zone_topology();
+  if (event.node >= 0) {
+    return {event.node, event.node + 1};
   }
-}
-
-void FaultInjector::PartitionCause(int node, int delta) {
-  partition_causes_[node] += delta;
-  LITHOS_CHECK_GE(partition_causes_[node], 0);
-  if (delta > 0 && partition_causes_[node] == 1) {
-    fleet_->PartitionNode(node);
-  } else if (delta < 0 && partition_causes_[node] == 0) {
-    fleet_->HealNode(node);
+  if (event.rack >= 0) {
+    return {topo.RackBegin(event.zone, event.rack), topo.RackEnd(event.zone, event.rack)};
   }
+  return {topo.ZoneBegin(event.zone), topo.ZoneEnd(event.zone)};
 }
 
 void FaultInjector::ApplyFrequency(int node) {
@@ -301,80 +276,49 @@ void FaultInjector::ApplyFrequency(int node) {
 }
 
 void FaultInjector::Apply(const FaultEvent& event) {
-  const ZoneTopology& topo = fleet_->zone_topology();
-  switch (event.kind) {
-    case FaultKind::kNodeCrash:
-      ++node_crashes_;
-      FailCause(event.node, +1);
-      break;
-    case FaultKind::kNodeRepair:
-      FailCause(event.node, -1);
-      break;
-    case FaultKind::kZoneOutage:
-      ++zone_outages_;
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
-        FailCause(n, +1);
-      }
-      break;
-    case FaultKind::kZoneRepair:
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
-        FailCause(n, -1);
-      }
-      break;
-    case FaultKind::kStragglerStart:
-      ++stragglers_;
-      ++straggle_causes_[event.node];
-      ApplyFrequency(event.node);
-      break;
-    case FaultKind::kStragglerEnd:
-      --straggle_causes_[event.node];
-      LITHOS_CHECK_GE(straggle_causes_[event.node], 0);
-      ApplyFrequency(event.node);
-      break;
-    case FaultKind::kPowerCapStart:
-      ++power_caps_;
-      zone_cap_[event.zone] = event.factor;
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
+  ++applied_[static_cast<size_t>(event.kind)];
+  if (event.kind == FaultKind::kPowerCapStart || event.kind == FaultKind::kPowerCapEnd) {
+    zone_cap_[event.zone] = event.factor;  // the end event's factor is 1
+  }
+  const auto [first, last] = NodeRange(event);
+  for (int n = first; n < last; ++n) {
+    switch (event.kind) {
+      case FaultKind::kNodeCrash:
+      case FaultKind::kZoneOutage:
+      case FaultKind::kRackCrash:
+        fleet_->FailNode(n);
+        break;
+      case FaultKind::kNodeRepair:
+      case FaultKind::kZoneRepair:
+      case FaultKind::kRackRepair:
+        fleet_->ReviveNode(n);
+        break;
+      case FaultKind::kPartitionStart:
+        fleet_->PartitionNode(n);
+        break;
+      case FaultKind::kPartitionHeal:
+        fleet_->HealNode(n);
+        break;
+      case FaultKind::kStragglerStart:
+        ++straggle_causes_[n];
         ApplyFrequency(n);
-      }
-      break;
-    case FaultKind::kPowerCapEnd:
-      zone_cap_[event.zone] = 1.0;
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
+        break;
+      case FaultKind::kStragglerEnd:
+        --straggle_causes_[n];
+        LITHOS_CHECK_GE(straggle_causes_[n], 0);
         ApplyFrequency(n);
-      }
-      break;
-    case FaultKind::kRackCrash:
-      ++rack_crashes_;
-      for (int n = topo.RackBegin(event.zone, event.rack);
-           n < topo.RackEnd(event.zone, event.rack); ++n) {
-        FailCause(n, +1);
-      }
-      break;
-    case FaultKind::kRackRepair:
-      for (int n = topo.RackBegin(event.zone, event.rack);
-           n < topo.RackEnd(event.zone, event.rack); ++n) {
-        FailCause(n, -1);
-      }
-      break;
-    case FaultKind::kPartitionStart:
-      ++partitions_;
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
-        PartitionCause(n, +1);
-      }
-      break;
-    case FaultKind::kPartitionHeal:
-      for (int n = topo.ZoneBegin(event.zone); n < topo.ZoneEnd(event.zone); ++n) {
-        PartitionCause(n, -1);
-      }
-      break;
+        break;
+      case FaultKind::kPowerCapStart:
+      case FaultKind::kPowerCapEnd:
+        ApplyFrequency(n);
+        break;
+    }
   }
   if (recorder_ != nullptr) {
     recorder_->Append(sim_->Now(), TraceLayer::kFault, TraceKind::kFaultApplied,
                       event.node, event.zone, static_cast<int32_t>(event.kind),
                       static_cast<int64_t>(std::llround(event.factor * 1e6)));
   }
-  trace_.push_back(FormatEvent(event));
 }
 
 }  // namespace lithos

@@ -9,23 +9,28 @@
 // use separate streams, so changing the repair model never perturbs the
 // incident timeline), the schedule is sorted by (time, generation order),
 // and application happens through the dispatcher/engine hooks on the
-// deterministic event queue. Same config -> byte-identical schedule,
-// byte-identical applied-fault trace, byte-identical recovery — across
-// runs and across SweepRunner `--jobs` values (the replay tests enforce
-// this).
+// deterministic event queue. Same config -> byte-identical schedule and
+// byte-identical cluster and fault layers of the binary trace (applied
+// faults, crashes, recoveries) — across runs and across SweepRunner
+// `--jobs` values (the replay tests enforce this).
 //
 // Failure semantics live in the layers below: a crash goes through
 // ClusterDispatcher::FailNode (queued work written off, in-flight requests
 // discounted as failed, placement rotation updated immediately), and
-// recovery is the FleetController's job at its next tick. Stragglers and
-// power caps request a lower clock through ExecutionEngine's DVFS path
-// (effective after the spec's freq_switch_latency, like real GPUs); when a
-// node is both straggling and zone-capped the most restrictive factor wins.
+// recovery is the FleetController's job at its next tick. The dispatcher
+// counts each node's down causes, so a crash inside a zone outage (or a
+// forced restart) does not resurrect the node when one repair fires first.
+// Stragglers and power caps request a lower clock through ExecutionEngine's
+// DVFS path (effective after the spec's freq_switch_latency, like real
+// GPUs); when a node is both straggling and zone-capped the most restrictive
+// factor wins.
 #ifndef LITHOS_FAULT_FAULT_INJECTOR_H_
 #define LITHOS_FAULT_FAULT_INJECTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -142,6 +147,8 @@ struct FaultScenarioConfig {
   std::vector<RackCrashSpec> rack_crashes;
 };
 
+// Start and end kinds pair as (even, odd) values (static_asserts in
+// fault_injector.cc pin the pairing).
 enum class FaultKind {
   kNodeCrash,
   kNodeRepair,
@@ -157,6 +164,7 @@ enum class FaultKind {
   kPartitionStart,
   kPartitionHeal,
 };
+inline constexpr int kNumFaultKinds = 12;
 
 const char* FaultKindName(FaultKind kind);
 
@@ -207,30 +215,27 @@ class FaultInjector {
   // Schedules every event on the simulator clock. Call once, before Run.
   void Arm();
 
-  // Applied-fault log: one line per event actually executed, in execution
-  // order. A prefix of ScheduleLines() interleavings when the run's horizon
-  // cuts the schedule short.
-  const std::vector<std::string>& trace() const { return trace_; }
-
-  uint64_t node_crashes() const { return node_crashes_; }
-  uint64_t zone_outages() const { return zone_outages_; }
-  uint64_t stragglers() const { return stragglers_; }
-  uint64_t power_caps() const { return power_caps_; }
-  uint64_t rack_crashes() const { return rack_crashes_; }
-  uint64_t partitions() const { return partitions_; }
+  // Applied start events, by kind.
+  uint64_t node_crashes() const { return Applied(FaultKind::kNodeCrash); }
+  uint64_t zone_outages() const { return Applied(FaultKind::kZoneOutage); }
+  uint64_t stragglers() const { return Applied(FaultKind::kStragglerStart); }
+  uint64_t power_caps() const { return Applied(FaultKind::kPowerCapStart); }
+  uint64_t rack_crashes() const { return Applied(FaultKind::kRackCrash); }
+  uint64_t partitions() const { return Applied(FaultKind::kPartitionStart); }
 
   // Attaches a binary trace recorder (nullptr detaches): every applied
   // fault appends a TraceLayer::kFault record (arg = FaultKind,
-  // payload = clock factor in parts-per-million) alongside the text log.
+  // payload = clock factor in parts-per-million): the applied-fault log.
   void SetTrace(TraceRecorder* recorder) { recorder_ = recorder; }
 
  private:
+  // The nodes an event targets, as [first, last): its node, rack, or zone.
+  std::pair<int, int> NodeRange(const FaultEvent& event) const;
   void Apply(const FaultEvent& event);
   // Re-resolves and requests node's effective clock from the overlap of its
   // straggler state and its zone's cap (most restrictive wins).
   void ApplyFrequency(int node);
-  void FailCause(int node, int delta);
-  void PartitionCause(int node, int delta);
+  uint64_t Applied(FaultKind kind) const { return applied_[static_cast<size_t>(kind)]; }
   static std::string FormatEvent(const FaultEvent& event);
 
   Simulator* sim_;
@@ -238,22 +243,11 @@ class FaultInjector {
   FaultScenarioConfig config_;
   std::vector<FaultEvent> schedule_;
 
-  // Overlap bookkeeping: a node stays down until every cause that failed it
-  // has been repaired (a crash inside a zone outage does not resurrect the
-  // node when the crash's own repair timer fires first).
-  std::vector<int> fail_causes_;      // node -> active failure causes
   std::vector<int> straggle_causes_;  // node -> active straggler windows
-  std::vector<int> partition_causes_; // node -> active partition windows
   std::vector<double> zone_cap_;      // zone -> clock fraction (1 = uncapped)
 
-  std::vector<std::string> trace_;
   TraceRecorder* recorder_ = nullptr;
-  uint64_t node_crashes_ = 0;
-  uint64_t zone_outages_ = 0;
-  uint64_t stragglers_ = 0;
-  uint64_t power_caps_ = 0;
-  uint64_t rack_crashes_ = 0;
-  uint64_t partitions_ = 0;
+  std::array<uint64_t, kNumFaultKinds> applied_{};  // FaultKind -> events applied
 };
 
 }  // namespace lithos

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "src/common/check.h"
-#include "src/gpu/execution_engine.h"
 
 namespace lithos {
 
@@ -137,9 +136,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   for (size_t i = 0; i < config.phases.size(); ++i) {
     const FaultPhase& phase = config.phases[i];
     sim.ScheduleAt(phase.begin, [&fleet, &config, i] {
-      for (const std::unique_ptr<GpuNode>& node : fleet.nodes()) {
-        node->engine()->ResetStats();
-      }
       fleet.BeginMeasurement();
       // After BeginMeasurement so counter baselines see the post-reset
       // values: the snapshot delta is exactly the window's activity.
@@ -171,16 +167,13 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   controller.Start(horizon);
   sim.RunUntil(horizon);
 
-  result.schedule = injector.ScheduleLines();
-  result.fault_trace = injector.trace();
-  result.recovery_log = fleet.recovery_log();
   result.node_crashes = injector.node_crashes();
   result.zone_outages = injector.zone_outages();
   result.stragglers = injector.stragglers();
   result.rack_crashes = injector.rack_crashes();
   result.partitions = injector.partitions();
   result.failed_requests = fleet.failed();
-  result.recoveries = static_cast<uint64_t>(fleet.recovery_log().size());
+  result.recoveries = fleet.recovery_actions();
   result.retries = fleet.metrics().counter("fleet/retries").value();
   result.hedges = fleet.metrics().counter("fleet/hedges").value();
   result.hedge_wins = fleet.metrics().counter("fleet/hedge_wins").value();

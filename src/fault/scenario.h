@@ -4,9 +4,9 @@
 //
 // RunFleetFaultScenario is a pure function of its config — the entry point
 // bench_cluster_faults sweeps through SweepRunner, so every (policy x
-// scenario) grid point is byte-identical at any `--jobs` value. The result
-// also carries the injector's applied-fault trace and the dispatcher's
-// recovery log for the deterministic-replay tests.
+// scenario) grid point is byte-identical at any `--jobs` value. Applied
+// faults and recovery actions are recorded once, in the binary trace
+// (FleetFaultConfig::trace), which the deterministic-replay tests compare.
 #ifndef LITHOS_FAULT_SCENARIO_H_
 #define LITHOS_FAULT_SCENARIO_H_
 
@@ -100,16 +100,13 @@ struct FleetFaultResult {
   int num_nodes = 0;
   int num_zones = 0;
   std::vector<FaultPhaseStats> phases;
-  std::vector<std::string> schedule;      // pre-generated fault schedule
-  std::vector<std::string> fault_trace;   // faults actually applied
-  std::vector<std::string> recovery_log;  // dispatcher recovery actions
   uint64_t node_crashes = 0;
   uint64_t zone_outages = 0;
   uint64_t stragglers = 0;
   uint64_t rack_crashes = 0;     // rack-correlated crash groups applied
   uint64_t partitions = 0;       // zone partitions applied
   uint64_t failed_requests = 0;  // lifetime, across all phases and gaps
-  uint64_t recoveries = 0;       // recovery-log entries
+  uint64_t recoveries = 0;       // lifetime recovery actions (restores + drops)
   // Request-level resilience traffic (lifetime fleet/* counters; retries,
   // hedges, and timeouts stay zero under write-off).
   uint64_t retries = 0;

@@ -67,7 +67,7 @@ enum class TraceKind : uint8_t {
   kNodeCrash = 23,        // payload = queued GPU work written off (ns)
   kNodeRevive = 24,       // payload = down duration (ns); enables spans
   kRecoverReplica = 26,   // replica restored onto node after a crash
-  kDropLostReplica = 27,  // replica abandoned (no healthy target)
+  kDropLostReplica = 27,  // replica lost with its node dropped, no kernel
   kMigration = 28,        // arg = model, node = destination
 
   // TraceLayer::kControl — node/zone = -1 for fleet-wide records.

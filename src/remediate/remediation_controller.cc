@@ -8,6 +8,27 @@
 
 namespace lithos {
 
+namespace {
+
+// Verdict strikes on one node within RemediationConfig::strike_window that
+// escalate the next action to a forced restart.
+constexpr int kRestartStrikes = 3;
+// How long a forced restart holds the node down (a simulated power cycle).
+constexpr DurationNs kRestartDuration = FromMillis(400);
+// Governor-deferred actions older than this are dropped: the episode they
+// answered is stale.
+constexpr DurationNs kDeferTtl = FromSeconds(6);
+// Ceiling of the exponential re-arm backoff after rollbacks.
+constexpr DurationNs kRearmBackoffCap = FromSeconds(8);
+// An announced repair or heal opens a recovery window this many ticks long;
+// inside it, any tick whose in-rotation queue imbalance (max/mean,
+// ClusterDispatcher::HerdImbalance) is at or above the threshold forces a
+// controller rebalance pass (budget-capped, so placement cannot thrash).
+constexpr int kRecoveryWindowTicks = 12;
+constexpr double kHerdImbalanceThreshold = 1.5;
+
+}  // namespace
+
 const char* RemedyActionName(RemedyAction action) {
   switch (action) {
     case RemedyAction::kQuarantine: return "quarantine";
@@ -138,7 +159,7 @@ void RemediationController::HandleVerdict(TimeNs now,
       // Confirmed-enough verdicts additionally take a governed capacity
       // action; when the governor defers it, the quarantine covers the gap
       // and the deferral queue owns the escalation.
-      if (state.strikes >= cfg_.restart_strikes) {
+      if (state.strikes >= kRestartStrikes) {
         TryCapacityAction(now, v.node, RemedyAction::kRestart, pending.index,
                           pending.synthetic, v.kind, v.score,
                           /*enqueue_on_block=*/true);
@@ -194,9 +215,9 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
   state.synthetic = synthetic;
   state.phase_began = now;
   if (rung == RemedyAction::kRestart) {
-    dispatcher_->FailNode(node);
+    dispatcher_->FailNode(node);  // the restart's own down cause
     state.phase = Phase::kRestarting;
-    state.phase_until = now + cfg_.restart_duration;
+    state.phase_until = now + kRestartDuration;
     ++restarts_;
     Record(now, RemedyAction::kRestart, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 1, 0);
@@ -239,7 +260,7 @@ void RemediationController::AdvancePhases(TimeNs now) {
           // The detector never cleared the episode: the node came back into
           // rotation and still looks gray — confirmed, escalate. On a
           // governor defer the deferral queue owns the action.
-          const RemedyAction rung = state.strikes >= cfg_.restart_strikes
+          const RemedyAction rung = state.strikes >= kRestartStrikes
                                         ? RemedyAction::kRestart
                                         : RemedyAction::kDrain;
           if (!TryCapacityAction(now, node, rung, state.verdict,
@@ -266,11 +287,9 @@ void RemediationController::AdvancePhases(TimeNs now) {
       }
       case Phase::kRestarting: {
         if (now >= state.phase_until) {
-          // Guard: only revive what we failed — the injector may have
-          // crashed and repaired it independently in between.
-          if (dispatcher_->NodeFailed(node)) {
-            dispatcher_->ReviveNode(node);
-          }
+          // Releases only the restart's own cause: the node stays down
+          // while an injected outage still holds it.
+          dispatcher_->ReviveNode(node);
           dispatcher_->UnquarantineNode(node);  // interim-quarantine residue
           Trace(now, TraceKind::kRemedyDrainDone, node,
                 dispatcher_->ZoneOfNode(node), 1, now - state.phase_began);
@@ -301,7 +320,7 @@ void RemediationController::Rollback(TimeNs now, int node) {
   ++state.rollback_count;
   const int shift = std::min(state.rollback_count - 1, 20);
   const DurationNs backoff =
-      std::min(cfg_.rearm_backoff_cap, cfg_.rearm_backoff_base << shift);
+      std::min(kRearmBackoffCap, cfg_.rearm_backoff_base << shift);
   state.rearm_until = now + backoff;
   Record(now, RemedyAction::kRollback, node, dispatcher_->ZoneOfNode(node),
          Verdict::Kind::kStraggler, state.synthetic,
@@ -319,7 +338,7 @@ void RemediationController::RetryDeferred(TimeNs now) {
   while (!deferred_.empty()) {
     DeferredAction deferred = deferred_.front();
     deferred_.pop_front();
-    if (cfg_.defer_ttl > 0 && now - deferred.since > cfg_.defer_ttl) {
+    if (now - deferred.since > kDeferTtl) {
       continue;  // stale episode; drop
     }
     NodeRemedy& state = nodes_[static_cast<size_t>(deferred.node)];
@@ -346,14 +365,11 @@ void RemediationController::RetryDeferred(TimeNs now) {
 }
 
 void RemediationController::HerdRebalance(TimeNs now) {
-  if (!cfg_.herd_rebalance) {
-    return;
-  }
   const int failed = dispatcher_->failed_node_count();
   const int partitioned = dispatcher_->partitioned_node_count();
   // An announced repair or heal opens (or re-opens) the recovery window.
   if (failed < prev_failed_ || partitioned < prev_partitioned_) {
-    recovery_ticks_left_ = cfg_.recovery_window_ticks;
+    recovery_ticks_left_ = kRecoveryWindowTicks;
   }
   prev_failed_ = failed;
   prev_partitioned_ = partitioned;
@@ -362,7 +378,7 @@ void RemediationController::HerdRebalance(TimeNs now) {
   }
   --recovery_ticks_left_;
   const double imbalance = dispatcher_->HerdImbalance();
-  if (imbalance < cfg_.herd_imbalance_threshold) {
+  if (imbalance < kHerdImbalanceThreshold) {
     return;
   }
   controller_->RequestRebalance();

@@ -17,6 +17,8 @@
 //   rung 3 — forced restart: ClusterDispatcher::FailNode (queued work
 //            written off — the price of a power cycle) and ReviveNode after
 //            the restart window; reserved for confirmed repeat offenders.
+//            The restart is one counted down cause among the injector's, so
+//            it never revives a node an overlapping outage still holds.
 //
 // Escalation is evidence-driven: a first verdict earns quarantine; when the
 // quarantine lifts the node enters *probation*, and only a re-flag during
@@ -72,11 +74,9 @@ struct RemediationConfig {
   // Straggler verdicts at/above this score are confirmed enough to skip the
   // quarantine rung and drain immediately.
   double drain_score = 2.5;
-  // Verdict strikes on one node within `strike_window` that escalate the
-  // next action to a forced restart.
-  int restart_strikes = 3;
+  // Window in which three verdict strikes on one node escalate the next
+  // action to a forced restart (a 400 ms simulated power cycle).
   DurationNs strike_window = FromSeconds(6);
-  DurationNs restart_duration = FromMillis(400);  // simulated power cycle
   // How long a drained node is held out before re-admission.
   DurationNs drain_hold = FromSeconds(2);
 
@@ -87,28 +87,16 @@ struct RemediationConfig {
   int max_drains_fleet = 4;
   // Healthy in-rotation capacity after a capacity-removing action (counting
   // quarantines as removed too) must stay at or above this multiple of the
-  // current offered load, else the action defers.
+  // current offered load, else the action defers. Deferred actions older
+  // than 6 s are dropped (the episode they answered is stale).
   double min_capacity_factor = 1.1;
-  // Deferred actions older than this are dropped (the episode they answered
-  // is stale); 0 keeps them forever.
-  DurationNs defer_ttl = FromSeconds(6);
 
   // --- Flap damping ---------------------------------------------------------
   // After the k-th rollback on a node, verdicts on it are ignored for
-  // min(cap, base << (k-1)) — exponential re-arm backoff. The base spans
+  // min(8 s, base << (k-1)) — exponential re-arm backoff. The base spans
   // several detector windows so the re-admission burst a lifted quarantine
   // attracts (the placer floods the coldest node) cannot re-flag it.
   DurationNs rearm_backoff_base = FromMillis(2000);
-  DurationNs rearm_backoff_cap = FromSeconds(8);
-
-  // --- Load-aware post-recovery rebalancing ---------------------------------
-  bool herd_rebalance = true;
-  // An announced repair/heal opens a recovery window this many ticks long;
-  // inside it, any tick whose in-rotation queue imbalance (max/mean,
-  // ClusterDispatcher::HerdImbalance) is at or above the threshold forces a
-  // controller rebalance pass (budget-capped, so placement cannot thrash).
-  int recovery_window_ticks = 12;
-  double herd_imbalance_threshold = 1.5;
 
   // --- False-positive injection (rollback demonstration) --------------------
   // Synthetic straggler verdicts delivered at the first tick at or after
@@ -202,7 +190,7 @@ class RemediationController : public VerdictSink {
     kQuarantined,  // rung 1 active; lifts into probation
     kProbation,    // serving again; re-flag escalates, clean run rolls back
     kDraining,     // held out by RequestDrain until drain_hold elapses
-    kRestarting,   // failed for restart_duration, then revived
+    kRestarting,   // failed for the restart window, then revived
   };
   struct NodeRemedy {
     Phase phase = Phase::kIdle;

@@ -1,7 +1,8 @@
 // Fault-layer tests: zone topology and hierarchical placement, crash/revive
 // semantics at the dispatcher, restore-only recovery through the controller,
 // and the deterministic-replay contract — same seed, byte-identical fault
-// schedule and recovery trace across runs and SweepRunner --jobs values.
+// schedule and cluster/fault trace layers across runs and SweepRunner --jobs
+// values.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,6 +15,7 @@
 #include "src/experiments/sweep.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/scenario.h"
+#include "src/obs/trace.h"
 
 namespace lithos {
 namespace {
@@ -42,6 +44,36 @@ FleetFaultConfig OutageScenario(int num_zones, int nodes_per_zone) {
                    {"during", FromSeconds(2), FromSeconds(3)},
                    {"post", FromMillis(3500), FromMillis(5500)}};
   return config;
+}
+
+// Runs the scenario with a binary trace restricted to the cluster and fault
+// layers — the fleet's one event log: applied faults, crashes, partitions,
+// recoveries, migrations, and the request lifecycle.
+struct TracedRun {
+  FleetFaultResult result;
+  std::vector<TraceRecord> events;
+  std::string bytes;  // the serialized trace, for byte-identity checks
+};
+
+TracedRun RunTraced(FleetFaultConfig config) {
+  TraceRecorder trace(0);
+  trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
+                     TraceRecorder::LayerBit(TraceLayer::kFault));
+  config.trace = &trace;
+  TracedRun run;
+  run.result = RunFleetFaultScenario(config);
+  run.events = trace.Records();
+  const std::vector<uint8_t> bytes = trace.Serialize();
+  run.bytes.assign(bytes.begin(), bytes.end());
+  return run;
+}
+
+size_t CountKind(const std::vector<TraceRecord>& events, TraceKind kind) {
+  size_t count = 0;
+  for (const TraceRecord& r : events) {
+    count += r.kind == static_cast<uint8_t>(kind) ? 1 : 0;
+  }
+  return count;
 }
 
 // --- Zone topology and hierarchical placement --------------------------------
@@ -148,18 +180,62 @@ TEST(FaultTest, CrashWritesOffInFlightWork) {
   EXPECT_EQ(fleet.failed_node_count(), 0);
 }
 
-TEST(FaultTest, FailNodeIsIdempotent) {
+TEST(FaultTest, FailNodeCountsDownCauses) {
   Simulator sim;
   ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   fleet.FailNode(1);
   fleet.FailNode(1);
   EXPECT_EQ(fleet.failed_node_count(), 1);
+  fleet.ReviveNode(1);  // one of two causes repaired: still down
+  EXPECT_TRUE(fleet.NodeFailed(1));
+  EXPECT_EQ(fleet.failed_node_count(), 1);
   fleet.ReviveNode(1);
-  fleet.ReviveNode(1);
+  EXPECT_FALSE(fleet.NodeFailed(1));
   EXPECT_EQ(fleet.failed_node_count(), 0);
+  fleet.ReviveNode(1);  // an extra revive is a no-op and banks nothing
+  fleet.FailNode(1);
+  EXPECT_TRUE(fleet.NodeFailed(1));
+
+  // Partitions count their causes the same way.
+  fleet.PartitionNode(2);
+  fleet.PartitionNode(2);
+  fleet.HealNode(2);
+  EXPECT_TRUE(fleet.NodePartitioned(2));
+  fleet.HealNode(2);
+  EXPECT_FALSE(fleet.NodePartitioned(2));
+  fleet.HealNode(2);
+  EXPECT_EQ(fleet.partitioned_node_count(), 0);
 }
 
-TEST(FaultTest, RecoverModelReplicaChargesRestoreOnly) {
+TEST(FaultTest, NodeStaysDownUntilEveryCauseIsRepaired) {
+  // A forced restart (FailNode at 50 ms, ReviveNode at 400 ms, as the
+  // remediation controller issues it) overlaps a scripted zone-0 outage
+  // from 100 ms. Whichever cause ends first, the node stays down until the
+  // other one ends too.
+  for (const DurationNs outage : {FromMillis(1000), FromMillis(100)}) {
+    SCOPED_TRACE(outage == FromMillis(1000) ? "restart ends inside the outage"
+                                            : "outage ends inside the restart");
+    Simulator sim;
+    ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
+    FaultScenarioConfig scenario;
+    scenario.zone_outages = {{/*zone=*/0, FromMillis(100), outage}};
+    FaultInjector injector(&sim, &fleet, scenario);
+    injector.Arm();
+    constexpr int node = 0;
+    sim.ScheduleAt(FromMillis(50), [&fleet] { fleet.FailNode(node); });
+    sim.ScheduleAt(FromMillis(400), [&fleet] { fleet.ReviveNode(node); });
+
+    sim.RunUntil(FromMillis(300));
+    EXPECT_TRUE(fleet.NodeFailed(node));
+    sim.RunUntil(FromMillis(500));
+    EXPECT_EQ(fleet.NodeFailed(node), FromMillis(100) + outage > FromMillis(500));
+    sim.RunUntil(FromMillis(1200));
+    EXPECT_FALSE(fleet.NodeFailed(node));
+    EXPECT_EQ(fleet.failed_node_count(), 0);
+  }
+}
+
+TEST(FaultTest, MigrateOffCrashedNodeChargesRestoreOnly) {
   Simulator sim;
   ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   // Find a model hosted on node 0 and a survivor not hosting it.
@@ -172,17 +248,33 @@ TEST(FaultTest, RecoverModelReplicaChargesRestoreOnly) {
     }
   }
   ASSERT_GE(model, 0) << "packing left nothing exclusive on node 0";
+  // A second model gets a copy on node 0 as well as its own replica.
+  int other = -1;
+  for (int m = 0; m < static_cast<int>(fleet.models().size()) && other < 0; ++m) {
+    if (fleet.placer().ReplicaNodes(m) == std::vector<int>{3}) {
+      other = m;
+    }
+  }
+  ASSERT_GE(other, 0) << "packing left nothing exclusive on node 3";
+  ASSERT_TRUE(fleet.AddModelReplica(other, 0));
 
   fleet.FailNode(0);
   const double before = fleet.outstanding_ms()[3];
-  ASSERT_TRUE(fleet.RecoverModelReplica(model, 0, 3));
+  ASSERT_TRUE(fleet.MigrateModel(model, 0, 3));
   // The survivor was charged the restore kernel; the dead node nothing.
   EXPECT_GT(fleet.outstanding_ms()[3], before);
   EXPECT_EQ(fleet.outstanding_ms()[0], 0.0);
   EXPECT_EQ(fleet.placer().ReplicaNodes(model), std::vector<int>{3});
   EXPECT_EQ(fleet.recoveries(), 1u);
-  ASSERT_EQ(fleet.recovery_log().size(), 1u);
-  EXPECT_NE(fleet.recovery_log()[0].find("recover"), std::string::npos);
+  EXPECT_EQ(fleet.migrations(), 0u);
+  EXPECT_EQ(fleet.recovery_actions(), 1u);
+
+  // Retiring the copy lost with the crashed node charges nothing anywhere.
+  const std::vector<double> outstanding = fleet.outstanding_ms();
+  ASSERT_TRUE(fleet.RemoveModelReplica(other, 0));
+  EXPECT_EQ(fleet.outstanding_ms(), outstanding);
+  EXPECT_EQ(fleet.placer().ReplicaNodes(other), std::vector<int>{3});
+  EXPECT_EQ(fleet.recovery_actions(), 2u);
   sim.RunToCompletion();
 }
 
@@ -193,11 +285,14 @@ TEST(FaultTest, ControllerReplacesDeadReplicasOntoSurvivors) {
   // Enough offered load that the outage actually catches requests in flight
   // (at 400 rps the 16-node fleet is nearly idle at any instant).
   config.cluster.aggregate_rps = 1500.0;
-  const FleetFaultResult result = RunFleetFaultScenario(config);
+  const TracedRun run = RunTraced(config);
+  const FleetFaultResult& result = run.result;
 
-  // The outage stranded replicas; the controller re-placed them.
+  // The outage stranded replicas; the controller re-placed them, and the
+  // trace records every recovery action.
   EXPECT_GT(result.recoveries, 0u);
-  EXPECT_FALSE(result.recovery_log.empty());
+  EXPECT_EQ(result.recoveries, CountKind(run.events, TraceKind::kRecoverReplica) +
+                                   CountKind(run.events, TraceKind::kDropLostReplica));
   EXPECT_EQ(result.zone_outages, 1u);
   // Work was lost during the outage but service recovered: the post phase
   // completes requests at a goodput close to the pre phase. Losses are
@@ -241,12 +336,15 @@ TEST(FaultReplayTest, TraceAndRecoveryAreByteIdenticalAcrossRuns) {
   config.faults.crashes_per_second = 1.0;
   config.faults.crash_repair = FromMillis(700);
 
-  const FleetFaultResult a = RunFleetFaultScenario(config);
-  const FleetFaultResult b = RunFleetFaultScenario(config);
+  const TracedRun run_a = RunTraced(config);
+  const TracedRun run_b = RunTraced(config);
+  const FleetFaultResult& a = run_a.result;
+  const FleetFaultResult& b = run_b.result;
 
-  EXPECT_EQ(a.schedule, b.schedule);
-  EXPECT_EQ(a.fault_trace, b.fault_trace);
-  EXPECT_EQ(a.recovery_log, b.recovery_log);
+  EXPECT_GT(CountKind(run_a.events, TraceKind::kFaultApplied), 0u);
+  EXPECT_GT(CountKind(run_a.events, TraceKind::kRecoverReplica), 0u);
+  EXPECT_EQ(run_a.bytes, run_b.bytes);
+  EXPECT_EQ(a.recoveries, b.recoveries);
   EXPECT_EQ(a.failed_requests, b.failed_requests);
   EXPECT_EQ(a.sim.fired, b.sim.fired);
   ASSERT_EQ(a.phases.size(), b.phases.size());
@@ -276,14 +374,9 @@ TEST(FaultReplayTest, SweepGridIsByteIdenticalAcrossJobs) {
                             config.faults.crashes_per_second = 2.0;
                             config.faults.crash_repair = FromMillis(600);
                           }
-                          const FleetFaultResult r = RunFleetFaultScenario(config);
-                          std::string blob = name + "\n";
-                          for (const std::string& line : r.fault_trace) {
-                            blob += line + "\n";
-                          }
-                          for (const std::string& line : r.recovery_log) {
-                            blob += line + "\n";
-                          }
+                          const TracedRun run = RunTraced(config);
+                          const FleetFaultResult& r = run.result;
+                          std::string blob = name + "\n" + run.bytes + "\n";
                           for (const FaultPhaseStats& p : r.phases) {
                             blob += p.name + " " + std::to_string(p.completed) + " " +
                                     std::to_string(p.failed) + " " + std::to_string(p.p99_ms) +
@@ -605,14 +698,9 @@ TEST(FaultReplayTest, ResilienceGridIsByteIdenticalAcrossJobs) {
       points.push_back({resilient ? "resilient" : "write-off", [resilient] {
                           FleetFaultConfig config = ResilienceScenario(resilient);
                           config.cluster.resilience.hedge = resilient;
-                          const FleetFaultResult r = RunFleetFaultScenario(config);
-                          std::string blob;
-                          for (const std::string& line : r.fault_trace) {
-                            blob += line + "\n";
-                          }
-                          for (const std::string& line : r.recovery_log) {
-                            blob += line + "\n";
-                          }
+                          const TracedRun run = RunTraced(config);
+                          const FleetFaultResult& r = run.result;
+                          std::string blob = run.bytes + "\n";
                           blob += std::to_string(r.failed_requests) + " " +
                                   std::to_string(r.retries) + " " +
                                   std::to_string(r.hedges) + " " +
