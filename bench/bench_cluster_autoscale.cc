@@ -35,7 +35,6 @@ AutoscaleConfig BaseConfig(ScalingPolicyKind scaling) {
   config.cluster.seed = 2026;
   config.scaling = scaling;
   config.control_period = FromMillis(250);
-  config.target_util = 0.5;
   config.min_nodes = 2;
   return config;
 }

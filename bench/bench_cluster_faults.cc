@@ -52,8 +52,6 @@ FleetFaultConfig BaseConfig(PlacementPolicy policy) {
   config.cluster.system = SystemKind::kMps;
   config.cluster.aggregate_rps = kRps;
   config.cluster.seed = 2026;
-  config.scaling = ScalingPolicyKind::kStaticPeak;  // fixed fleet: no autoscale confound
-  config.max_migrations_per_period = 8;
   config.phases = {{"pre", FromSeconds(kPreBegin), FromSeconds(kFaultAt)},
                    {"during", FromSeconds(kFaultAt), FromSeconds(kFaultAt + kFaultSecs)},
                    {"post", FromSeconds(kPostBegin), FromSeconds(kPostEnd)}};

@@ -88,8 +88,6 @@ FleetFaultConfig BaseConfig(Policy policy) {
   config.cluster.aggregate_rps = kRps;
   config.cluster.seed = 2026;
   config.cluster.resilience = MakePolicy(policy);
-  config.scaling = ScalingPolicyKind::kStaticPeak;  // fixed fleet: no autoscale confound
-  config.max_migrations_per_period = 8;
   config.phases = {{"pre", FromSeconds(kPreBegin), FromSeconds(kFaultAt)},
                    {"during", FromSeconds(kFaultAt), FromSeconds(kFaultAt + kFaultSecs)},
                    {"post", FromSeconds(kPostBegin), FromSeconds(kPostEnd)}};

@@ -71,13 +71,10 @@ FleetFaultConfig BaseConfig() {
   config.cluster.aggregate_rps = kRps;
   config.cluster.seed = 2026;
   config.cluster.resilience = FullPolicy();
-  config.scaling = ScalingPolicyKind::kStaticPeak;
-  config.max_migrations_per_period = 8;
   config.phases = {{"pre", FromSeconds(kPreBegin), FromSeconds(kFaultBegin)},
                    {"during", FromSeconds(kFaultBegin), FromSeconds(kFaultEnd)},
                    {"post", FromSeconds(kFaultEnd), FromSeconds(kPostEnd)}};
   config.detect = true;
-  config.detector.window = config.control_period;
   return config;
 }
 

@@ -141,14 +141,11 @@ FleetFaultConfig BaseConfig(const GridPoint& point) {
   config.cluster.aggregate_rps = kRps;
   config.cluster.seed = 2026;
   config.cluster.resilience = FullPolicy();
-  config.scaling = ScalingPolicyKind::kStaticPeak;
-  config.max_migrations_per_period = 8;
   config.phases = {{"pre", FromSeconds(kPreBegin), FromSeconds(kFaultBegin)},
                    {"during", FromSeconds(kFaultBegin), FromSeconds(kFaultEnd)},
                    {"post", FromSeconds(kFaultEnd), FromSeconds(kPostEnd)}};
   // Both arms run the detector so the only delta is the remediation actions.
   config.detect = true;
-  config.detector.window = config.control_period;
   // Recalibrated for model-affinity placement: hot-replica queueing spreads
   // the healthy latency-ratio distribution to ~2.6x, so the straggler bar
   // moves above that noise — the injected 6-8x slowdowns still clear it.

@@ -32,7 +32,6 @@ int main() {
 
   StackingConfig dvfs = rs;
   dvfs.lithos.enable_dvfs = true;
-  dvfs.lithos.dvfs_slip = 1.10;
   const StackingResult with_both = RunStacking(dvfs, {app});
 
   auto capacity = [](const StackingResult& r) { return TotalCapacityTpcSeconds(r.engine); };

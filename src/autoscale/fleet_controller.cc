@@ -44,7 +44,7 @@ FleetController::FleetController(Simulator* sim, ClusterDispatcher* dispatcher,
       last_integrate_(sim->Now()) {
   LITHOS_CHECK(policy_ != nullptr);
   LITHOS_CHECK_GT(config_.control_period, 0);
-  LITHOS_CHECK_GT(config_.target_util, 0.0);
+  LITHOS_CHECK_GT(dispatcher_->config().affinity_target_util, 0.0);
   LITHOS_CHECK_GE(config_.min_nodes, 1);
   LITHOS_CHECK_LE(config_.min_nodes, dispatcher_->config().num_nodes);
   states_.assign(dispatcher_->config().num_nodes, NodePower::kActive);
@@ -92,7 +92,7 @@ FleetSnapshot FleetController::BuildSnapshot() const {
   snap.control_period = config_.control_period;
   snap.powered_on = powered_on_nodes();
   snap.total_nodes = dispatcher_->config().num_nodes;
-  snap.node_capacity_ms_per_s = config_.target_util * 1000.0;
+  snap.node_capacity_ms_per_s = dispatcher_->config().affinity_target_util * 1000.0;
   snap.offered_now_ms_per_s = dispatcher_->OfferedLoadAt(snap.now);
   snap.predicted_next_ms_per_s = dispatcher_->OfferedLoadAt(snap.now + config_.control_period);
   const double period_s = ToSeconds(config_.control_period);
@@ -201,8 +201,9 @@ void FleetController::Rebalance(double demand_ms_per_s) {
   // to the scaler's current demand estimate.
   const double scale =
       mean_offered_ms_per_s_ > 0 ? demand_ms_per_s / mean_offered_ms_per_s_ : 1.0;
-  const std::vector<std::vector<int>> target = PackModels(
-      models, pack_order, dispatcher_->config().aggregate_rps * scale, config_.target_util);
+  const ClusterConfig& cluster = dispatcher_->config();
+  const std::vector<std::vector<int>> target =
+      PackModels(models, pack_order, cluster.aggregate_rps * scale, cluster.affinity_target_util);
 
   Placer& placer = dispatcher_->placer();
   int budget = config_.max_migrations_per_period;

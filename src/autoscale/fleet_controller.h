@@ -67,15 +67,12 @@ struct AutoscaleConfig {
   // everywhere, so only node lifecycle applies).
   ClusterConfig cluster;
 
+  // The scaler provisions to the placer's per-node GPU-time budget,
+  // `cluster.affinity_target_util`: a powered-on node is planned to carry
+  // affinity_target_util * 1000 GPU-ms of request work per second, and
+  // re-packs fill nodes to the same budget.
   ScalingPolicyKind scaling = ScalingPolicyKind::kPredictive;
   DurationNs control_period = FromMillis(250);
-
-  // Per-node GPU-time budget the scaler provisions to: a powered-on node is
-  // planned to carry target_util * 1000 GPU-ms of request work per second.
-  // The headroom absorbs burstiness within a control period plus the
-  // model-switch overhead consolidation induces; pushing this much past 0.5
-  // trades tail latency for GPU-hours.
-  double target_util = 0.5;
 
   int min_nodes = 1;
 

@@ -43,7 +43,7 @@ struct FleetSnapshot {
   DurationNs control_period = 0;
   int powered_on = 0;                       // nodes currently drawing full idle power
   int total_nodes = 0;                      // pool size ceiling
-  double node_capacity_ms_per_s = 0;        // target_util * 1000 per powered-on node
+  double node_capacity_ms_per_s = 0;        // affinity_target_util * 1000 per node
   double offered_now_ms_per_s = 0;          // instantaneous diurnal offered load
   double predicted_next_ms_per_s = 0;       // offered load one control period ahead
   double measured_last_period_ms_per_s = 0; // what actually arrived last period

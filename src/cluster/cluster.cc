@@ -27,6 +27,15 @@ constexpr DurationNs kBreakerWindow = FromMillis(500);
 constexpr double kRetryBudgetFraction = 0.2;
 constexpr double kRetryBudgetFloor = 32;
 
+// Model-switch cost in GPU ms per unit of (normalized) model size, charged
+// when a node's previously served model differs from the incoming one.
+constexpr double kSwitchCostMsPerSize = 0.8;
+// Live-migration cost in GPU ms per unit of model size, split evenly between
+// a memory-bound checkpoint kernel on the source node and a restore kernel on
+// the destination (PhoenixOS-style OS-level GPU checkpoint/transfer/restore;
+// see docs/autoscale.md).
+constexpr double kMigrationCostMsPerSize = 2.5;
+
 }  // namespace
 
 // --- GpuNode -----------------------------------------------------------------
@@ -64,7 +73,7 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
 
   for (int n = 0; n < config_.num_nodes; ++n) {
     nodes_.push_back(
-        std::make_unique<GpuNode>(sim_, n, config_.spec, config_.system, config_.lithos));
+        std::make_unique<GpuNode>(sim_, n, config_.spec, config_.system, LithosConfig{}));
   }
 
   zone_topo_.num_zones = config_.num_zones;
@@ -87,23 +96,18 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
     request_kernels_.push_back(MakeKernel("fleet/" + m.id, blocks, FromMillis(m.cost_ms), 0.92,
                                           0.6, config_.spec));
     // Switch kernel: memory-bound weight load proportional to model size;
-    // weakly parallel and frequency-insensitive. Never launched when the
-    // configured switch cost is zero (the floor only keeps MakeKernel's
-    // coefficient solve well-defined).
-    const double switch_ms = config_.switch_cost_ms_per_size * m.size;
-    switch_kernels_.push_back(MakeKernel("load/" + m.id, 256,
-                                         FromMillis(std::max(0.001, switch_ms)), 0.6, 0.1,
-                                         config_.spec));
+    // weakly parallel and frequency-insensitive.
+    const double switch_ms = kSwitchCostMsPerSize * m.size;
+    switch_kernels_.push_back(
+        MakeKernel("load/" + m.id, 256, FromMillis(switch_ms), 0.6, 0.1, config_.spec));
     // Migration halves: checkpoint on the source, restore on the destination.
     // Memory-bound like the switch kernel (weight movement dominates), each
     // carrying half of the size-proportional migration cost.
-    const double half_migration_ms = 0.5 * config_.migration_cost_ms_per_size * m.size;
-    checkpoint_kernels_.push_back(MakeKernel("ckpt/" + m.id, 256,
-                                             FromMillis(std::max(0.001, half_migration_ms)), 0.5,
-                                             0.1, config_.spec));
-    restore_kernels_.push_back(MakeKernel("restore/" + m.id, 256,
-                                          FromMillis(std::max(0.001, half_migration_ms)), 0.5,
-                                          0.1, config_.spec));
+    const double half_migration_ms = 0.5 * kMigrationCostMsPerSize * m.size;
+    checkpoint_kernels_.push_back(
+        MakeKernel("ckpt/" + m.id, 256, FromMillis(half_migration_ms), 0.5, 0.1, config_.spec));
+    restore_kernels_.push_back(MakeKernel("restore/" + m.id, 256, FromMillis(half_migration_ms),
+                                          0.5, 0.1, config_.spec));
     arrival_rng_.emplace_back(config_.seed * 1315423911u + i * 2654435761u + 17);
   }
 
@@ -308,10 +312,7 @@ void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
   // runs only on a reachable source, and every restore lands on a survivor.
   LITHOS_CHECK(!Unreachable(node));
   const FleetModel& model = fleet_.models()[model_index];
-  const double half_ms = 0.5 * config_.migration_cost_ms_per_size * model.size;
-  if (half_ms <= 0) {
-    return;
-  }
+  const double half_ms = 0.5 * kMigrationCostMsPerSize * model.size;
   Stream* stream = StreamFor(node, model_index);
   Driver* driver = nodes_[node]->driver();
   driver->CuLaunchKernel(stream, kernel);
@@ -658,7 +659,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   const double timeout_ms =
       static_cast<double>(config_.resilience.attempt_timeout) / 1e6;
   const FleetModel& model = fleet_.models()[model_index];
-  const double switch_ms = config_.switch_cost_ms_per_size * model.size;
+  const double switch_ms = kSwitchCostMsPerSize * model.size;
   auto doomed = [&](int n) {
     if (node_quarantine_until_[static_cast<size_t>(n)] > sim_->Now()) {
       return true;  // remediation quarantined the whole node
@@ -748,23 +749,21 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   const bool cancellable = config_.resilience.attempt_timeout > 0 || config_.resilience.hedge;
   double cost = model.cost_ms;
   if (state.last_model != req.model) {
-    const double switch_ms = config_.switch_cost_ms_per_size * model.size;
-    if (switch_ms > 0) {
-      driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
-      if (cancellable) {
-        AddOutstanding(node, switch_ms);
-        const uint64_t switch_epoch = state.epoch;
-        driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
-          if (node_state_[node].epoch == switch_epoch) {
-            AddOutstanding(node, -switch_ms);
-          }
-        });
-      } else {
-        cost += switch_ms;
-      }
-      if (measured) {
-        ++state.switches_measured;
-      }
+    const double switch_ms = kSwitchCostMsPerSize * model.size;
+    driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
+    if (cancellable) {
+      AddOutstanding(node, switch_ms);
+      const uint64_t switch_epoch = state.epoch;
+      driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
+        if (node_state_[node].epoch == switch_epoch) {
+          AddOutstanding(node, -switch_ms);
+        }
+      });
+    } else {
+      cost += switch_ms;
+    }
+    if (measured) {
+      ++state.switches_measured;
     }
     state.last_model = req.model;
   }

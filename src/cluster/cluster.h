@@ -118,31 +118,25 @@ struct ClusterConfig {
   // zone-granular. 1 keeps the pre-rack topology.
   int racks_per_zone = 1;
   GpuSpec spec = GpuSpec::A100();
-  // Per-node scheduling backend; any of the nine systems works.
+  // Per-node scheduling backend; any of the nine systems works (LithOS runs
+  // with its default LithosConfig).
   SystemKind system = SystemKind::kLithos;
-  LithosConfig lithos;
   PlacementPolicy policy = PlacementPolicy::kLeastLoaded;
 
   // Fleet-wide mean request rate, split across the thirteen models by their
   // popularity shares (Fig. 5's several-hundred-x spread).
   double aggregate_rps = 800.0;
-  // Per-node GPU-time budget the model-affinity packer fills to; kept well
-  // under 1.0 so packed nodes ride out the diurnal peak (~1.38x the mean).
+  // Per-node GPU-time budget the model-affinity packer fills to, and the
+  // FleetController provisions and re-packs to; kept well under 1.0 so
+  // packed nodes ride out the diurnal peak (~1.38x the mean). The headroom
+  // also absorbs burstiness within a control period plus the model-switch
+  // overhead consolidation induces; pushing this much past 0.5 trades tail
+  // latency for GPU-hours.
   double affinity_target_util = 0.5;
   // Diurnal compression: simulated seconds per fleet "day"; traffic follows
   // FleetTelemetry::NormalizedRps over that compressed day. 0 = flat traffic
   // at the mean rate.
   double seconds_per_day = 0.0;
-
-  // Model-switch cost in GPU ms per unit of (normalized) model size, charged
-  // when a node's previously served model differs from the incoming one.
-  double switch_cost_ms_per_size = 0.8;
-
-  // Live-migration cost in GPU ms per unit of model size, split evenly
-  // between a memory-bound checkpoint kernel on the source node and a
-  // restore kernel on the destination (PhoenixOS-style OS-level GPU
-  // checkpoint/transfer/restore; see docs/autoscale.md).
-  double migration_cost_ms_per_size = 2.5;
 
   DurationNs warmup = FromSeconds(1);
   DurationNs duration = FromSeconds(8);

@@ -12,7 +12,7 @@ void DvfsManager::Start() {
     return;
   }
   started_ = true;
-  sim_->ScheduleAfter(config_.dvfs_period, [this] { Evaluate(); });
+  sim_->ScheduleAfter(kPeriod, [this] { Evaluate(); });
 }
 
 void DvfsManager::RecordKernel(int queue_id, DurationNs runtime_ns, double sensitivity) {
@@ -63,7 +63,7 @@ int DvfsManager::ComputeTargetMhz() const {
     return spec.max_mhz;
   }
   const double S = AggregateSensitivity();
-  const double k = config_.dvfs_slip - 1.0;  // slip expressed as fractional slowdown
+  const double k = kSlip - 1.0;  // slip expressed as fractional slowdown
   if (S <= 1e-9) {
     return spec.min_mhz;  // Fully memory-bound: no latency cost to the floor.
   }
@@ -73,7 +73,7 @@ int DvfsManager::ComputeTargetMhz() const {
 
 void DvfsManager::Evaluate() {
   engine_->RequestFrequencyMhz(ComputeTargetMhz());
-  sim_->ScheduleAfter(config_.dvfs_period, [this] { Evaluate(); });
+  sim_->ScheduleAfter(kPeriod, [this] { Evaluate(); });
 }
 
 }  // namespace lithos

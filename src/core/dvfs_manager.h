@@ -18,6 +18,7 @@
 
 #include <unordered_map>
 
+#include "src/common/time.h"
 #include "src/core/config.h"
 #include "src/core/latency_predictor.h"
 #include "src/gpu/execution_engine.h"
@@ -27,6 +28,12 @@ namespace lithos {
 
 class DvfsManager {
  public:
+  // Latency-slip parameter k of f_final (k = 1.1, §7.3).
+  static constexpr double kSlip = 1.10;
+  // Re-evaluation cadence of the frequency target; much larger than the
+  // hardware switch latency to avoid thrashing (§4.6).
+  static constexpr DurationNs kPeriod = FromMillis(250);
+
   DvfsManager(Simulator* sim, ExecutionEngine* engine, const LithosConfig& config);
 
   // Starts the periodic evaluation loop (no-op when DVFS is disabled).

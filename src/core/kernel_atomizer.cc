@@ -11,14 +11,14 @@ DurationNs KernelAtomizer::AtomOverheadNs(const KernelDesc& kernel, uint32_t ato
   // Each prelude instance launches the full grid; blocks outside the atom's
   // range exit early but still consume dispatch slots.
   const uint32_t skipped = kernel.NumBlocks() - atom_blocks;
-  return config_.prelude_launch_overhead +
-         static_cast<DurationNs>(config_.early_exit_ns_per_block * static_cast<double>(skipped));
+  return kPreludeLaunchOverhead +
+         static_cast<DurationNs>(kEarlyExitNsPerBlock * static_cast<double>(skipped));
 }
 
 DurationNs KernelAtomizer::EffectiveAtomDuration(uint64_t kernel_signature) const {
   auto it = duration_scale_.find(kernel_signature);
   const double scale = it == duration_scale_.end() ? 1.0 : it->second;
-  return static_cast<DurationNs>(static_cast<double>(config_.atom_duration) * scale);
+  return static_cast<DurationNs>(static_cast<double>(kAtomDuration) * scale);
 }
 
 AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, DurationNs predicted_duration,
@@ -27,17 +27,17 @@ AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, DurationNs predicted_dur
   const uint32_t blocks = kernel.NumBlocks();
   LITHOS_CHECK_GT(blocks, 0u);
 
-  const DurationNs atom_duration = EffectiveAtomDuration(kernel.LaunchSignature());
+  const DurationNs atom_ns = EffectiveAtomDuration(kernel.LaunchSignature());
 
   if (!config_.enable_atomization || blocks < 2 ||
-      predicted_duration < config_.min_atomize_duration) {
+      predicted_duration < kMinAtomizeDuration) {
     plan.atomized = false;
-    plan.atoms.push_back(Atom{0, blocks, config_.launch_overhead});
+    plan.atoms.push_back(Atom{0, blocks, kLaunchOverhead});
     return plan;
   }
 
-  int n = static_cast<int>(predicted_duration / std::max<DurationNs>(atom_duration, 1));
-  n = std::clamp(n, 1, config_.max_atoms_per_kernel);
+  int n = static_cast<int>(predicted_duration / atom_ns);
+  n = std::clamp(n, 1, kMaxAtomsPerKernel);
   n = std::min(n, static_cast<int>(blocks));
   // Wave floor: an atom smaller than one wave over the granted TPCs cannot
   // keep the allocation busy.
@@ -45,7 +45,7 @@ AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, DurationNs predicted_dur
   n = std::min(n, std::max(1, static_cast<int>(blocks) / wave_blocks));
   if (n <= 1) {
     plan.atomized = false;
-    plan.atoms.push_back(Atom{0, blocks, config_.launch_overhead});
+    plan.atoms.push_back(Atom{0, blocks, kLaunchOverhead});
     return plan;
   }
 
@@ -77,7 +77,7 @@ void KernelAtomizer::RecordOverhead(uint64_t kernel_signature, DurationNs work_n
   }
   const double frac =
       static_cast<double>(overhead_ns) / static_cast<double>(work_ns + overhead_ns);
-  if (frac > config_.max_overhead_fraction) {
+  if (frac > kMaxOverheadFraction) {
     double& scale = duration_scale_.try_emplace(kernel_signature, 1.0).first->second;
     scale = std::min(scale * 2.0, 64.0);
   }

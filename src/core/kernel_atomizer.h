@@ -10,7 +10,7 @@
 //
 // The atomizer also implements the paper's two performance optimizations:
 // kernels predicted to be short are not atomized at all, and operators whose
-// measured atomization overhead is excessive get their atom_duration scaled
+// measured atomization overhead is excessive get their atom duration scaled
 // up (fewer atoms next time).
 #ifndef LITHOS_CORE_KERNEL_ATOMIZER_H_
 #define LITHOS_CORE_KERNEL_ATOMIZER_H_
@@ -43,6 +43,25 @@ struct AtomPlan {
 
 class KernelAtomizer {
  public:
+  // Target duration of one atom; kernels predicted shorter than
+  // kMinAtomizeDuration are launched whole.
+  static constexpr DurationNs kAtomDuration = FromMillis(1.0);
+  static constexpr DurationNs kMinAtomizeDuration = FromMillis(2.0);
+  // Hard cap on atoms per kernel (the paper's example splits a 64-block grid
+  // into at most 64 atoms; large grids would otherwise explode).
+  static constexpr int kMaxAtomsPerKernel = 32;
+  // Cost model of the Prelude kernel: fixed launch overhead per atom plus an
+  // early-exit tax per skipped thread block.
+  static constexpr DurationNs kPreludeLaunchOverhead = FromMicros(3.0);
+  static constexpr double kEarlyExitNsPerBlock = 12.0;
+  // Plain (non-atomized) kernel dispatch overhead through the interposition
+  // layer.
+  static constexpr DurationNs kLaunchOverhead = FromMicros(2.0);
+  // Adaptive control: an operator whose measured atomization overhead
+  // exceeds this fraction gets its atom duration doubled (§4.4,
+  // "Performance Optimizations").
+  static constexpr double kMaxOverheadFraction = 0.10;
+
   explicit KernelAtomizer(const LithosConfig& config) : config_(config) {}
 
   // Builds the atom plan for `kernel` given its predicted whole-kernel
@@ -56,7 +75,7 @@ class KernelAtomizer {
 
   // Feedback from observed executions: `work_ns` is the useful execution time
   // of the operator's atoms, `overhead_ns` the prelude cost they paid. If the
-  // overhead fraction exceeds the configured bound, the operator's effective
+  // overhead fraction exceeds kMaxOverheadFraction, the operator's effective
   // atom duration is doubled (halving future atom counts).
   void RecordOverhead(uint64_t kernel_signature, DurationNs work_ns, DurationNs overhead_ns);
 
@@ -68,7 +87,7 @@ class KernelAtomizer {
 
  private:
   LithosConfig config_;
-  // Per-kernel-signature multiplier on atom_duration (adaptive aggressiveness).
+  // Per-kernel-signature multiplier on kAtomDuration (adaptive aggressiveness).
   std::unordered_map<uint64_t, double> duration_scale_;
 };
 

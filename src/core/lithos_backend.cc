@@ -6,11 +6,17 @@
 
 namespace lithos {
 
+namespace {
+// Outstanding-atom cap for best-effort clients: half the high-priority
+// default, so best-effort work never builds a deep GPU backlog.
+constexpr int kMaxOutstandingBe = 2;
+}  // namespace
+
 LithosBackend::LithosBackend(Simulator* sim, ExecutionEngine* engine, LithosConfig config)
     : Backend(sim, engine),
       config_(config),
       tpc_scheduler_(engine->spec(), config),
-      predictor_(engine->spec(), config),
+      predictor_(engine->spec()),
       atomizer_(config),
       right_sizer_(engine->spec(), config, &predictor_),
       dvfs_(sim, engine, config) {
@@ -28,7 +34,7 @@ bool LithosBackend::IsHighPriority(int client_id) const {
 }
 
 int LithosBackend::OutstandingLimit(int client_id) const {
-  return IsHighPriority(client_id) ? config_.max_outstanding_hp : config_.max_outstanding_be;
+  return IsHighPriority(client_id) ? config_.max_outstanding_hp : kMaxOutstandingBe;
 }
 
 int LithosBackend::BaseAllocation(int client_id, const KernelDesc& kernel) const {

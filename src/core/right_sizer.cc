@@ -6,6 +6,11 @@
 
 namespace lithos {
 
+namespace {
+// Exploration: shrink factor applied while probing down the scaling curve.
+constexpr double kProbeFactor = 0.5;
+}  // namespace
+
 int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
                            int available_tpcs) const {
   LITHOS_CHECK_GT(available_tpcs, 0);
@@ -21,10 +26,10 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
     return 1;
   }
 
-  // Step 2: model-based minimisation once the scaling curve is known.
+  // Step 2: model-based minimisation once the scaling curve is known (the
+  // predictor fits it from two or more distinct allocations).
   ScalingFit fit;
-  if (predictor_->GetScalingFit(key, &fit) &&
-      predictor_->DistinctTpcPoints(key) >= config_.rightsizing_min_observations) {
+  if (predictor_->GetScalingFit(key, &fit)) {
     const double l_full = fit.Latency(static_cast<double>(bound));
     const double budget = config_.rightsizing_slip * l_full;
     // l(t) = m/t + b <= budget  =>  t >= m / (budget - b).
@@ -41,7 +46,7 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
   if (predictor_->DistinctTpcPoints(key) == 1) {
     const int probe = std::max(
         1, static_cast<int>(std::lround(static_cast<double>(bound) *
-                                        config_.rightsizing_probe_factor)));
+                                        kProbeFactor)));
     return std::min(probe, bound);
   }
 

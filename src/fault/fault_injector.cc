@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
 #include "src/common/check.h"
@@ -56,26 +55,20 @@ static_assert(Paired(FaultKind::kRackCrash, FaultKind::kRackRepair));
 static_assert(Paired(FaultKind::kPartitionStart, FaultKind::kPartitionHeal));
 static_assert(static_cast<int>(FaultKind::kPartitionHeal) + 1 == kNumFaultKinds);
 
+// Floor of every repair delay (a repair takes nonzero time).
+constexpr DurationNs kMinRepair = FromMillis(1);
+
 // One repair delay. kFixed consumes no Rng draws (legacy schedules stay
-// byte-identical); the heavy-tailed distributions consume exactly one
-// logical draw each (LogNormal uses the Rng's Box-Muller pair internally,
-// Weibull inverts the CDF from a single uniform).
+// byte-identical); kWeibull consumes exactly one draw, inverting the CDF
+// from a single uniform.
 DurationNs SampleRepair(const RepairModel& model, Rng& rng) {
-  double seconds = 0;
-  switch (model.dist) {
-    case RepairModel::Dist::kFixed:
-      return std::max<DurationNs>(model.fixed, model.min_repair);
-    case RepairModel::Dist::kLogNormal:
-      seconds = rng.LogNormal(model.lognormal_mu, model.lognormal_sigma);
-      break;
-    case RepairModel::Dist::kWeibull: {
-      const double u = rng.NextDouble();
-      seconds =
-          model.weibull_scale_s * std::pow(-std::log(1.0 - u), 1.0 / model.weibull_shape);
-      break;
-    }
+  if (model.dist == RepairModel::Dist::kFixed) {
+    return std::max<DurationNs>(model.fixed, kMinRepair);
   }
-  return std::max<DurationNs>(FromSeconds(seconds), model.min_repair);
+  const double u = rng.NextDouble();
+  const double seconds =
+      model.weibull_scale_s * std::pow(-std::log(1.0 - u), 1.0 / model.weibull_shape);
+  return std::max<DurationNs>(FromSeconds(seconds), kMinRepair);
 }
 
 }  // namespace
@@ -181,33 +174,6 @@ FaultInjector::FaultInjector(Simulator* sim, ClusterDispatcher* fleet,
   // fire exactly as listed.
   std::stable_sort(schedule_.begin(), schedule_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
-}
-
-std::string FaultInjector::FormatEvent(const FaultEvent& event) {
-  char line[112];
-  if (event.rack >= 0) {
-    std::snprintf(line, sizeof(line), "t=%lldns %s zone=%d rack=%d factor=%.3f",
-                  static_cast<long long>(event.at), FaultKindName(event.kind), event.zone,
-                  event.rack, event.factor);
-  } else if (event.node >= 0) {
-    std::snprintf(line, sizeof(line), "t=%lldns %s node=%d zone=%d factor=%.3f",
-                  static_cast<long long>(event.at), FaultKindName(event.kind), event.node,
-                  event.zone, event.factor);
-  } else {
-    std::snprintf(line, sizeof(line), "t=%lldns %s zone=%d factor=%.3f",
-                  static_cast<long long>(event.at), FaultKindName(event.kind), event.zone,
-                  event.factor);
-  }
-  return line;
-}
-
-std::vector<std::string> FaultInjector::ScheduleLines() const {
-  std::vector<std::string> lines;
-  lines.reserve(schedule_.size());
-  for (const FaultEvent& event : schedule_) {
-    lines.push_back(FormatEvent(event));
-  }
-  return lines;
 }
 
 std::vector<GroundTruthSpan> FaultInjector::GroundTruthSpans(TimeNs horizon) const {

@@ -80,31 +80,21 @@ struct RackCrashSpec {
 // converts implicitly from a DurationNs, so legacy configs that assign
 // `crash_repair = FromMillis(1500)` keep compiling — and keep drawing
 // *nothing* from the schedule Rng, so their pre-generated schedules stay
-// byte-identical. The heavy-tailed alternatives (lognormal / Weibull with
-// shape < 1) model real fleet repairs: most reboots are quick, a few need a
+// byte-identical. The heavy-tailed alternative (Weibull with shape < 1)
+// models real fleet repairs: most reboots are quick, a few need a
 // technician. Samples are drawn during schedule pre-generation from a
 // repair-only Rng stream (one draw per crash event), so the same seed
-// replays the same crash instants and victims under any repair model.
+// replays the same crash instants and victims under any repair model. Every
+// sample is clamped below to 1 ms (a repair takes nonzero time).
 struct RepairModel {
-  enum class Dist { kFixed, kLogNormal, kWeibull };
+  enum class Dist { kFixed, kWeibull };
   Dist dist = Dist::kFixed;
   DurationNs fixed = FromSeconds(2);
-  double lognormal_mu = 0.0;     // ln(seconds)
-  double lognormal_sigma = 1.0;
   double weibull_shape = 0.7;    // < 1 = heavy-tailed
   double weibull_scale_s = 2.0;  // seconds
-  // Samples are clamped below to this floor (a repair takes nonzero time).
-  DurationNs min_repair = FromMillis(1);
 
   RepairModel() = default;
   RepairModel(DurationNs fixed_delay) : fixed(fixed_delay) {}  // NOLINT: compat
-  static RepairModel LogNormal(double mu_ln_seconds, double sigma) {
-    RepairModel m;
-    m.dist = Dist::kLogNormal;
-    m.lognormal_mu = mu_ln_seconds;
-    m.lognormal_sigma = sigma;
-    return m;
-  }
   static RepairModel Weibull(double shape, double scale_seconds) {
     RepairModel m;
     m.dist = Dist::kWeibull;
@@ -198,18 +188,15 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // The pre-generated schedule, sorted by (time, generation order).
+  // The pre-generated schedule, sorted by (time, generation order); replay
+  // tests compare it field by field.
   const std::vector<FaultEvent>& schedule() const { return schedule_; }
-
-  // Printable schedule, one deterministic line per event (replay tests
-  // compare this byte-for-byte).
-  std::vector<std::string> ScheduleLines() const;
 
   // Pairs the schedule's start/end events into fault intervals — the ground
   // truth for detector scoring. Spans starting at or after `horizon` are
   // dropped; ends are clamped to it (an interval still open at the horizon
   // ends there). Pure function of the pre-generated schedule: identical
-  // across runs and --jobs like ScheduleLines().
+  // across runs and --jobs like schedule().
   std::vector<GroundTruthSpan> GroundTruthSpans(TimeNs horizon) const;
 
   // Schedules every event on the simulator clock. Call once, before Run.
@@ -236,7 +223,6 @@ class FaultInjector {
   // straggler state and its zone's cap (most restrictive wins).
   void ApplyFrequency(int node);
   uint64_t Applied(FaultKind kind) const { return applied_[static_cast<size_t>(kind)]; }
-  static std::string FormatEvent(const FaultEvent& event);
 
   Simulator* sim_;
   ClusterDispatcher* fleet_;

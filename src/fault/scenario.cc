@@ -59,6 +59,14 @@ bool ActionJustified(const RemedyEvent& event,
 
 }  // namespace
 
+AutoscaleConfig FaultScenarioControl(const ClusterConfig& cluster) {
+  AutoscaleConfig control;
+  control.cluster = cluster;
+  control.scaling = ScalingPolicyKind::kStaticPeak;
+  control.max_migrations_per_period = 8;
+  return control;
+}
+
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   LITHOS_CHECK(!config.phases.empty());
   for (size_t i = 0; i < config.phases.size(); ++i) {
@@ -75,14 +83,7 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   fleet.SetTrace(config.trace);
   fleet.SetSpanSink(config.spans);
 
-  AutoscaleConfig control;
-  control.cluster = config.cluster;
-  control.scaling = config.scaling;
-  control.control_period = config.control_period;
-  control.target_util = config.target_util;
-  control.min_nodes = config.min_nodes;
-  control.max_migrations_per_period = config.max_migrations_per_period;
-  FleetController controller(&sim, &fleet, control);
+  FleetController controller(&sim, &fleet, FaultScenarioControl(config.cluster));
   controller.SetTrace(config.trace);
 
   FaultScenarioConfig faults = config.faults;

@@ -32,17 +32,9 @@ struct FaultPhase {
 struct FleetFaultConfig {
   // The pool: num_zones > 1 for zone-level scenarios. cluster.warmup and
   // cluster.duration are ignored — the phase list defines the windows and
-  // the horizon is the last phase's end.
+  // the horizon is the last phase's end. The control plane is
+  // FaultScenarioControl(cluster).
   ClusterConfig cluster;
-
-  // Control plane. Static-peak scaling keeps the whole pool on, isolating
-  // fault response from autoscaling; the migration budget is per tick and
-  // recovery moves are forced regardless.
-  ScalingPolicyKind scaling = ScalingPolicyKind::kStaticPeak;
-  DurationNs control_period = FromMillis(250);
-  double target_util = 0.5;
-  int min_nodes = 1;
-  int max_migrations_per_period = 8;
 
   FaultScenarioConfig faults;
   std::vector<FaultPhase> phases;
@@ -150,6 +142,12 @@ struct FleetFaultResult {
   uint64_t remedy_unjustified_actions = 0;
   uint64_t remedy_injected_actions = 0;  // actions from synthetic verdicts
 };
+
+// The control plane of every fault scenario: static-peak scaling keeps the
+// whole pool on, isolating fault response from autoscaling; a 250 ms control
+// period; eight rebalance migrations per tick (recovery moves are forced
+// regardless).
+AutoscaleConfig FaultScenarioControl(const ClusterConfig& cluster);
 
 // Builds simulator + ClusterDispatcher + FleetController + FaultInjector,
 // runs to the last phase's end, and collects per-phase metrics.

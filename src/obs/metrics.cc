@@ -73,7 +73,8 @@ void MetricsRegistry::BeginPhase(const std::string& name) {
   phase_counter_base_.clear();
   for (size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].type == Type::kCounter) {
-      phase_counter_base_[i] = entries_[i].counter->value();
+      const Counter& c = *entries_[i].counter;
+      phase_counter_base_[i] = CounterMark{c.value(), c.resets()};
     }
   }
 }
@@ -87,9 +88,10 @@ void MetricsRegistry::EndPhase() {
     if (e.type == Type::kCounter) {
       const uint64_t value = e.counter->value();
       auto it = phase_counter_base_.find(i);
-      const uint64_t base = it == phase_counter_base_.end() ? 0 : it->second;
       // A counter Reset() mid-phase restarts its window at zero.
-      const uint64_t delta = value >= base ? value - base : value;
+      const bool rebased =
+          it == phase_counter_base_.end() || it->second.resets != e.counter->resets();
+      const uint64_t delta = rebased ? value : value - it->second.value;
       snap.values.emplace_back(e.name, static_cast<double>(delta));
     } else if (e.type == Type::kGauge) {
       snap.values.emplace_back(e.name, e.gauge->value());

@@ -17,9 +17,11 @@
 // Phases: BeginPhase()/EndPhase() bracket a measurement window (e.g. the
 // pre/during/post windows of a fault scenario). EndPhase() snapshots every
 // counter as its delta over the window and every gauge at its current value,
-// appending a copyable PhaseSnapshot to phases(). Histograms and time series
-// are excluded from phase snapshots (histogram samples are not windowed;
-// time series are already windowed by sim-time); read them directly.
+// appending a copyable PhaseSnapshot to phases(). A counter Reset() inside
+// the window restarts its window at zero: the snapshot is its value since
+// the last reset. Histograms and time series are excluded from phase
+// snapshots (histogram samples are not windowed; time series are already
+// windowed by sim-time); read them directly.
 #ifndef LITHOS_OBS_METRICS_H_
 #define LITHOS_OBS_METRICS_H_
 
@@ -35,15 +37,21 @@
 
 namespace lithos {
 
-// Monotonic event count (resettable for measurement windows).
+// Monotonic event count (resettable for measurement windows). Resets are
+// counted so a phase can tell a reset-and-climb from plain growth.
 class Counter {
  public:
   void Inc(uint64_t delta = 1) { value_ += delta; }
-  void Reset() { value_ = 0; }
+  void Reset() {
+    value_ = 0;
+    ++resets_;
+  }
   uint64_t value() const { return value_; }
+  uint64_t resets() const { return resets_; }
 
  private:
   uint64_t value_ = 0;
+  uint64_t resets_ = 0;
 };
 
 // Point-in-time or accumulated double (request-milliseconds, GPU-ms, ...).
@@ -207,9 +215,14 @@ class MetricsRegistry {
 
   bool phase_open_ = false;
   std::string phase_name_;
-  // Counter values captured at BeginPhase(), indexed by entry position.
-  // Counters registered mid-phase baseline at zero (map misses).
-  std::map<size_t, uint64_t> phase_counter_base_;
+  // Counter value and reset count captured at BeginPhase(), indexed by
+  // entry position. Counters registered mid-phase baseline at zero (map
+  // misses).
+  struct CounterMark {
+    uint64_t value = 0;
+    uint64_t resets = 0;
+  };
+  std::map<size_t, CounterMark> phase_counter_base_;
   std::vector<PhaseSnapshot> phases_;
 };
 

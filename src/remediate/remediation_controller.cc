@@ -18,7 +18,14 @@ constexpr DurationNs kRestartDuration = FromMillis(400);
 // Governor-deferred actions older than this are dropped: the episode they
 // answered is stale.
 constexpr DurationNs kDeferTtl = FromSeconds(6);
-// Ceiling of the exponential re-arm backoff after rollbacks.
+// A lifted quarantine serves under probation for this many detector ticks
+// before the escalate-or-roll-back decision.
+constexpr int kProbationWindows = 4;
+// Exponential re-arm backoff after rollbacks: min(cap, base << (k-1)) after
+// the k-th. The base spans several detector windows so the re-admission
+// burst a lifted quarantine attracts (the placer floods the coldest node)
+// cannot re-flag it.
+constexpr DurationNs kRearmBackoffBase = FromMillis(2000);
 constexpr DurationNs kRearmBackoffCap = FromSeconds(8);
 // An announced repair or heal opens a recovery window this many ticks long;
 // inside it, any tick whose in-rotation queue imbalance (max/mean,
@@ -151,7 +158,6 @@ void RemediationController::HandleVerdict(TimeNs now,
       state.phase_until = now + cfg_.quarantine_window;
       state.verdict = pending.index;
       state.synthetic = pending.synthetic;
-      ++quarantines_;
       Record(now, RemedyAction::kQuarantine, v.node, v.zone, v.kind,
              pending.synthetic, v.score);
       Trace(now, TraceKind::kRemedyQuarantine, v.node, v.zone, 0,
@@ -201,7 +207,6 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
       deferred.kind = kind;
       deferred.score = score;
       deferred_.push_back(deferred);
-      ++deferrals_;
       Record(now, RemedyAction::kDefer, node, dispatcher_->ZoneOfNode(node),
              kind, synthetic, static_cast<double>(reason));
       Trace(now, TraceKind::kRemedyGovernorDefer, node,
@@ -218,14 +223,12 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
     dispatcher_->FailNode(node);  // the restart's own down cause
     state.phase = Phase::kRestarting;
     state.phase_until = now + kRestartDuration;
-    ++restarts_;
     Record(now, RemedyAction::kRestart, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 1, 0);
   } else {
     controller_->RequestDrain(node);
     state.phase = Phase::kDraining;
-    state.phase_until = now + cfg_.drain_hold;
-    ++drains_;
+    state.phase_until = now + kDrainHold;
     Record(now, RemedyAction::kDrain, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 0, 0);
   }
@@ -248,7 +251,7 @@ void RemediationController::AdvancePhases(TimeNs now) {
           // Quarantine lifted (the dispatcher's window expired on its own);
           // the node serves again while we watch for a re-flag.
           state.phase = Phase::kProbation;
-          state.probation_left = cfg_.probation_windows;
+          state.probation_left = kProbationWindows;
         }
         break;
       }
@@ -313,14 +316,10 @@ void RemediationController::Rollback(TimeNs now, int node) {
     detector_->Demote(state.verdict);
     demoted_index = static_cast<int32_t>(state.verdict);
   }
-  ++rollbacks_;
-  if (state.synthetic) {
-    ++synthetic_rollbacks_;
-  }
   ++state.rollback_count;
   const int shift = std::min(state.rollback_count - 1, 20);
   const DurationNs backoff =
-      std::min(kRearmBackoffCap, cfg_.rearm_backoff_base << shift);
+      std::min(kRearmBackoffCap, kRearmBackoffBase << shift);
   state.rearm_until = now + backoff;
   Record(now, RemedyAction::kRollback, node, dispatcher_->ZoneOfNode(node),
          Verdict::Kind::kStraggler, state.synthetic,
@@ -382,7 +381,6 @@ void RemediationController::HerdRebalance(TimeNs now) {
     return;
   }
   controller_->RequestRebalance();
-  ++rebalances_;
   Record(now, RemedyAction::kRebalance, -1, -1, Verdict::Kind::kPartition,
          false, imbalance);
   Trace(now, TraceKind::kRemedyRebalanceMove, -1, -1, 0,
@@ -416,8 +414,8 @@ bool RemediationController::GovernorAllows(int node,
     ++available;
   }
   // Raw serving capacity: a node executes 1000 GPU-ms of request work per
-  // second flat out. (Not target_util-scaled — that is planning headroom;
-  // the floor guards against actually running out of machine.)
+  // second flat out. (Not scaled by affinity_target_util — that is planning
+  // headroom; the floor guards against actually running out of machine.)
   const double capacity = static_cast<double>(available) * 1000.0;
   const double offered = dispatcher_->OfferedLoadAt(sim_->Now());
   if (capacity < cfg_.min_capacity_factor * offered) {
@@ -453,6 +451,13 @@ void RemediationController::Record(TimeNs now, RemedyAction action, int node,
   event.synthetic = synthetic;
   event.detail = detail;
   events_.push_back(event);
+}
+
+uint64_t RemediationController::Count(RemedyAction action, bool synthetic_only) const {
+  return static_cast<uint64_t>(
+      std::count_if(events_.begin(), events_.end(), [&](const RemedyEvent& e) {
+        return e.action == action && (e.synthetic || !synthetic_only);
+      }));
 }
 
 void RemediationController::Trace(TimeNs now, TraceKind kind, int node,

@@ -64,21 +64,20 @@ namespace lithos {
 struct RemediationConfig {
   // --- Action ladder --------------------------------------------------------
   // Rung-1 quarantine length. When it lifts, the node serves again under
-  // probation for `probation_windows` detector ticks; at the boundary a
-  // still-flagged node escalates, a clean one rolls the action back as a
-  // false positive. (The decision is taken at the boundary, not on the
-  // first re-flag: the detector needs clear_windows of health to re-arm, so
-  // a one-window re-admission transient self-clears before judgment.)
+  // probation for four detector ticks; at the boundary a still-flagged node
+  // escalates, a clean one rolls the action back as a false positive. (The
+  // decision is taken at the boundary, not on the first re-flag: the
+  // detector needs two windows of health to re-arm, so a one-window
+  // re-admission transient self-clears before judgment.)
   DurationNs quarantine_window = FromMillis(1000);
-  int probation_windows = 4;
   // Straggler verdicts at/above this score are confirmed enough to skip the
   // quarantine rung and drain immediately.
   double drain_score = 2.5;
   // Window in which three verdict strikes on one node escalate the next
-  // action to a forced restart (a 400 ms simulated power cycle).
+  // action to a forced restart (a 400 ms simulated power cycle). A drained
+  // node is held out for RemediationController::kDrainHold before
+  // re-admission.
   DurationNs strike_window = FromSeconds(6);
-  // How long a drained node is held out before re-admission.
-  DurationNs drain_hold = FromSeconds(2);
 
   // --- Blast-radius governor ------------------------------------------------
   // Concurrent capacity-removing actions (drains + restarts) allowed per
@@ -90,13 +89,6 @@ struct RemediationConfig {
   // current offered load, else the action defers. Deferred actions older
   // than 6 s are dropped (the episode they answered is stale).
   double min_capacity_factor = 1.1;
-
-  // --- Flap damping ---------------------------------------------------------
-  // After the k-th rollback on a node, verdicts on it are ignored for
-  // min(8 s, base << (k-1)) — exponential re-arm backoff. The base spans
-  // several detector windows so the re-admission burst a lifted quarantine
-  // attracts (the placer floods the coldest node) cannot re-flag it.
-  DurationNs rearm_backoff_base = FromMillis(2000);
 
   // --- False-positive injection (rollback demonstration) --------------------
   // Synthetic straggler verdicts delivered at the first tick at or after
@@ -143,6 +135,9 @@ struct RemedyEvent {
 
 class RemediationController : public VerdictSink {
  public:
+  // How long a drained node is held out before re-admission.
+  static constexpr DurationNs kDrainHold = FromSeconds(2);
+
   // Registers itself as `detector`'s verdict sink. All four collaborators
   // must outlive the controller and share one simulator clock.
   RemediationController(Simulator* sim, ClusterDispatcher* dispatcher,
@@ -163,16 +158,19 @@ class RemediationController : public VerdictSink {
   const std::vector<RemedyEvent>& events() const { return events_; }
   std::vector<std::string> Lines() const;
 
-  uint64_t quarantines() const { return quarantines_; }
-  uint64_t drains() const { return drains_; }
-  uint64_t restarts() const { return restarts_; }
-  uint64_t rebalances() const { return rebalances_; }
-  uint64_t rollbacks() const { return rollbacks_; }
-  uint64_t synthetic_rollbacks() const { return synthetic_rollbacks_; }
-  uint64_t deferrals() const { return deferrals_; }
+  // Action counts, read off the log.
+  uint64_t quarantines() const { return Count(RemedyAction::kQuarantine); }
+  uint64_t drains() const { return Count(RemedyAction::kDrain); }
+  uint64_t restarts() const { return Count(RemedyAction::kRestart); }
+  uint64_t rebalances() const { return Count(RemedyAction::kRebalance); }
+  uint64_t rollbacks() const { return Count(RemedyAction::kRollback); }
+  uint64_t synthetic_rollbacks() const {
+    return Count(RemedyAction::kRollback, /*synthetic_only=*/true);
+  }
+  uint64_t deferrals() const { return Count(RemedyAction::kDefer); }
   // Actions triggered by gray verdicts only (quarantine/drain/restart);
   // rebalances, rollbacks, and deferrals are not "actions" for scoring.
-  uint64_t actions() const { return quarantines_ + drains_ + restarts_; }
+  uint64_t actions() const { return quarantines() + drains() + restarts(); }
   // Governor high-water marks: peak concurrent drains+restarts observed
   // fleet-wide and in any single zone (<= the configured caps, always).
   int peak_fleet_drains() const { return peak_fleet_drains_; }
@@ -189,7 +187,7 @@ class RemediationController : public VerdictSink {
     kIdle = 0,
     kQuarantined,  // rung 1 active; lifts into probation
     kProbation,    // serving again; re-flag escalates, clean run rolls back
-    kDraining,     // held out by RequestDrain until drain_hold elapses
+    kDraining,     // held out by RequestDrain until kDrainHold elapses
     kRestarting,   // failed for the restart window, then revived
   };
   struct NodeRemedy {
@@ -236,6 +234,8 @@ class RemediationController : public VerdictSink {
   int ConcurrentDrains(int zone_or_minus1) const;
   void Record(TimeNs now, RemedyAction action, int node, int zone,
               Verdict::Kind kind, bool synthetic, double detail);
+  // Log entries of `action` (only synthetic-verdict ones if synthetic_only).
+  uint64_t Count(RemedyAction action, bool synthetic_only = false) const;
   void Trace(TimeNs now, TraceKind kind, int node, int zone, int32_t arg,
              int64_t payload);
 
@@ -257,13 +257,6 @@ class RemediationController : public VerdictSink {
   int recovery_ticks_left_ = 0;
 
   std::vector<RemedyEvent> events_;
-  uint64_t quarantines_ = 0;
-  uint64_t drains_ = 0;
-  uint64_t restarts_ = 0;
-  uint64_t rebalances_ = 0;
-  uint64_t rollbacks_ = 0;
-  uint64_t synthetic_rollbacks_ = 0;
-  uint64_t deferrals_ = 0;
   int peak_fleet_drains_ = 0;
   int peak_zone_drains_ = 0;
   int ticks_ = 0;

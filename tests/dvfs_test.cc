@@ -12,7 +12,6 @@ class DvfsTest : public ::testing::Test {
  protected:
   DvfsTest() : engine_(&sim_, GpuSpec::A100()) {
     config_.enable_dvfs = true;
-    config_.dvfs_slip = 1.10;
     config_.dvfs_learning_batches = 2;
     manager_ = std::make_unique<DvfsManager>(&sim_, &engine_, config_);
   }
@@ -92,7 +91,7 @@ TEST_F(DvfsTest, PeriodicEvaluationDrivesEngineFrequency) {
   EndLearning(1);
   // After one evaluation period plus the hardware switch latency, the device
   // clock must have dropped to the floor.
-  sim_.RunUntil(config_.dvfs_period + engine_.spec().freq_switch_latency + FromMillis(5));
+  sim_.RunUntil(DvfsManager::kPeriod + engine_.spec().freq_switch_latency + FromMillis(5));
   EXPECT_EQ(engine_.CurrentFrequencyMhz(), engine_.spec().min_mhz);
 }
 
@@ -117,7 +116,6 @@ TEST_P(DvfsSlipTest, ImpliedSlowdownWithinSlip) {
   ExecutionEngine engine(&sim, GpuSpec::A100());
   LithosConfig cfg;
   cfg.enable_dvfs = true;
-  cfg.dvfs_slip = 1.10;
   cfg.dvfs_learning_batches = 0;
   DvfsManager manager(&sim, &engine, cfg);
   manager.RecordKernel(1, FromMillis(10), s);

@@ -1,8 +1,8 @@
 // Fault-layer tests: zone topology and hierarchical placement, crash/revive
 // semantics at the dispatcher, restore-only recovery through the controller,
-// and the deterministic-replay contract — same seed, byte-identical fault
-// schedule and cluster/fault trace layers across runs and SweepRunner --jobs
-// values.
+// and the deterministic-replay contract — same seed, field-identical fault
+// schedule and byte-identical cluster/fault trace layers across runs and
+// SweepRunner --jobs values.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -32,11 +32,23 @@ ClusterConfig ZonedConfig(int num_zones, int nodes_per_zone,
   return config;
 }
 
+// Field-by-field schedule equality: the exact clock factor, not a rendering.
+bool SameSchedule(const std::vector<FaultEvent>& a, const std::vector<FaultEvent>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].at != b[i].at || a[i].kind != b[i].kind || a[i].zone != b[i].zone ||
+        a[i].node != b[i].node || a[i].rack != b[i].rack || a[i].factor != b[i].factor) {
+      return false;
+    }
+  }
+  return true;
+}
+
 FleetFaultConfig OutageScenario(int num_zones, int nodes_per_zone) {
   FleetFaultConfig config;
   config.cluster = ZonedConfig(num_zones, nodes_per_zone);
-  config.scaling = ScalingPolicyKind::kStaticPeak;
-  config.max_migrations_per_period = 8;
   config.faults.name = "zone-outage";
   config.faults.seed = 11;
   config.faults.zone_outages = {{/*zone=*/0, FromSeconds(2), FromSeconds(1)}};
@@ -322,13 +334,12 @@ TEST(FaultReplayTest, ScheduleIsPureFunctionOfConfig) {
   FaultInjector injector_a(&sim_a, &fleet_a, scenario);
   FaultInjector injector_b(&sim_b, &fleet_b, scenario);
 
-  const std::vector<std::string> lines = injector_a.ScheduleLines();
-  EXPECT_FALSE(lines.empty());
-  EXPECT_EQ(lines, injector_b.ScheduleLines());
+  EXPECT_FALSE(injector_a.schedule().empty());
+  EXPECT_TRUE(SameSchedule(injector_a.schedule(), injector_b.schedule()));
 
   scenario.seed = 6;
   FaultInjector injector_c(&sim_a, &fleet_a, scenario);
-  EXPECT_NE(lines, injector_c.ScheduleLines());
+  EXPECT_FALSE(SameSchedule(injector_a.schedule(), injector_c.schedule()));
 }
 
 TEST(FaultReplayTest, TraceAndRecoveryAreByteIdenticalAcrossRuns) {
@@ -533,13 +544,19 @@ TEST(RackTest, RandomRackProcessTargetsWholeRacks) {
   // Every scheduled rack event names a zone and a valid rack, and crashes
   // and repairs pair up.
   int crashes = 0, repairs = 0;
-  for (const std::string& line : injector.ScheduleLines()) {
-    if (line.find("rack-crash") != std::string::npos) {
+  for (const FaultEvent& event : injector.schedule()) {
+    if (event.kind == FaultKind::kRackCrash) {
       ++crashes;
-      EXPECT_NE(line.find("rack="), std::string::npos) << line;
-    } else if (line.find("rack-repair") != std::string::npos) {
+    } else if (event.kind == FaultKind::kRackRepair) {
       ++repairs;
+    } else {
+      continue;
     }
+    EXPECT_GE(event.zone, 0);
+    EXPECT_LT(event.zone, 2);
+    EXPECT_GE(event.rack, 0);
+    EXPECT_LT(event.rack, 2);
+    EXPECT_EQ(event.node, -1);
   }
   EXPECT_GT(crashes, 0);
   EXPECT_EQ(crashes, repairs);
@@ -564,24 +581,24 @@ TEST(FaultReplayTest, RepairDistributionDoesNotPerturbCrashDraws) {
   FaultInjector injector_fixed(&sim, &fleet, fixed);
   FaultInjector injector_heavy(&sim, &fleet, heavy);
 
-  auto crash_lines = [](const FaultInjector& injector) {
-    std::vector<std::string> lines;
-    for (const std::string& line : injector.ScheduleLines()) {
-      if (line.find(" crash ") != std::string::npos) {
-        lines.push_back(line);
+  auto crashes = [](const FaultInjector& injector) {
+    std::vector<FaultEvent> events;
+    for (const FaultEvent& event : injector.schedule()) {
+      if (event.kind == FaultKind::kNodeCrash) {
+        events.push_back(event);
       }
     }
-    return lines;
+    return events;
   };
-  const std::vector<std::string> a = crash_lines(injector_fixed);
+  const std::vector<FaultEvent> a = crashes(injector_fixed);
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, crash_lines(injector_heavy));
+  EXPECT_TRUE(SameSchedule(a, crashes(injector_heavy)));
   // The repair *delays* differ, though: heavy-tailed repairs are sampled.
-  EXPECT_NE(injector_fixed.ScheduleLines(), injector_heavy.ScheduleLines());
+  EXPECT_FALSE(SameSchedule(injector_fixed.schedule(), injector_heavy.schedule()));
 
   // And the sampled schedule is itself a pure function of the config.
   FaultInjector injector_heavy2(&sim, &fleet, heavy);
-  EXPECT_EQ(injector_heavy.ScheduleLines(), injector_heavy2.ScheduleLines());
+  EXPECT_TRUE(SameSchedule(injector_heavy.schedule(), injector_heavy2.schedule()));
 }
 
 // --- Config validation -------------------------------------------------------
@@ -615,8 +632,6 @@ FleetFaultConfig ResilienceScenario(bool resilient) {
   config.cluster.racks_per_zone = 2;
   config.cluster.aggregate_rps = 1500.0;
   config.cluster.resilience.enabled = resilient;
-  config.scaling = ScalingPolicyKind::kStaticPeak;
-  config.max_migrations_per_period = 8;
   config.faults.name = "rack+partition";
   config.faults.seed = 11;
   config.faults.partitions = {{/*zone=*/0, FromSeconds(2) + FromMillis(20), FromSeconds(1)}};

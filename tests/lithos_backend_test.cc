@@ -69,9 +69,7 @@ TEST_F(LithosBackendTest, StreamFifoOrderPreserved) {
 }
 
 TEST_F(LithosBackendTest, LongKernelIsAtomized) {
-  LithosConfig cfg;
-  cfg.atom_duration = FromMillis(1);
-  LithosBackend* backend = Install(cfg);
+  LithosBackend* backend = Install();
   Client* c = driver_.CuCtxCreate("app", PriorityClass::kHighPriority, 54);
   Stream* s = driver_.CuStreamCreate(c);
   // 20ms kernel with plenty of blocks: must split once the predictor knows

@@ -258,6 +258,22 @@ TEST(MetricsRegistryTest, BeginPhaseClosesAnOpenPhase) {
   EXPECT_DOUBLE_EQ(registry.phases()[0].ValueOf("x"), 1.0);
 }
 
+TEST(MetricsRegistryTest, ResetInsidePhaseRestartsWindow) {
+  MetricsRegistry registry;
+  Counter& c = registry.counter("x");
+  c.Inc(10);
+  registry.BeginPhase("reset");
+  c.Reset();
+  c.Inc(15);  // climbs back past the phase baseline of 10
+  registry.EndPhase();
+  EXPECT_DOUBLE_EQ(registry.phases()[0].ValueOf("x"), 15.0);
+
+  registry.BeginPhase("plain");  // baseline 15, no reset
+  c.Inc(4);
+  registry.EndPhase();
+  EXPECT_DOUBLE_EQ(registry.phases()[1].ValueOf("x"), 4.0);
+}
+
 // --- End-to-end determinism --------------------------------------------------
 
 FleetFaultConfig SmallOutageConfig(TraceRecorder* trace) {

@@ -11,7 +11,7 @@ namespace {
 
 class PredictorTest : public ::testing::Test {
  protected:
-  PredictorTest() : spec_(GpuSpec::A100()), predictor_(spec_, LithosConfig{}) {}
+  PredictorTest() : spec_(GpuSpec::A100()), predictor_(spec_) {}
 
   static OperatorKey Key(int queue, uint32_t ordinal, uint64_t sig = 0xabc) {
     return OperatorKey{queue, ordinal, sig};
@@ -31,7 +31,7 @@ class PredictorTest : public ::testing::Test {
 
 TEST_F(PredictorTest, UnseenOperatorUsesDefault) {
   const DurationNs pred = predictor_.Predict(Key(1, 0), Cond(54));
-  EXPECT_EQ(pred, LithosConfig{}.predictor_default_latency);
+  EXPECT_EQ(pred, LatencyPredictor::kDefaultLatency);
   EXPECT_FALSE(predictor_.HasSeen(Key(1, 0)));
 }
 
@@ -161,7 +161,7 @@ class PredictorMonotoneTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PredictorMonotoneTest, NonIncreasingInTpcs) {
   const GpuSpec spec = GpuSpec::A100();
-  LatencyPredictor predictor(spec, LithosConfig{});
+  LatencyPredictor predictor(spec);
   const OperatorKey key{1, 0, 42};
   const int points = GetParam();
   for (int i = 0; i < points; ++i) {

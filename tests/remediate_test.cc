@@ -25,7 +25,6 @@ FleetFaultConfig QuietScenario(int num_zones, int nodes_per_zone) {
   config.cluster.aggregate_rps = 400.0;
   config.cluster.seed = 7;
   config.cluster.resilience.enabled = true;
-  config.scaling = ScalingPolicyKind::kStaticPeak;
   config.phases = {{"run", FromMillis(500), FromSeconds(8)}};
   config.detect = true;
   config.detector.window = FromMillis(250);
@@ -94,8 +93,8 @@ TEST(RemediateGovernorTest, DeferralsRetryInFifoOrder) {
   EXPECT_EQ(drains[1].node, 4);
   EXPECT_EQ(drains[2].node, 7);
   EXPECT_EQ(drains[0].at, FromSeconds(1));
-  EXPECT_EQ(drains[1].at, FromSeconds(1) + config.remediation.drain_hold);
-  EXPECT_EQ(drains[2].at, FromSeconds(1) + 2 * config.remediation.drain_hold);
+  EXPECT_EQ(drains[1].at, FromSeconds(1) + RemediationController::kDrainHold);
+  EXPECT_EQ(drains[2].at, FromSeconds(1) + 2 * RemediationController::kDrainHold);
 }
 
 // With the min-healthy-capacity floor set above what the remaining nodes
@@ -131,8 +130,6 @@ TEST(RemediateGovernorTest, CapacityFloorBlocksDrainInSmallFleet) {
 TEST(RemediateFlapTest, RollbackBacksOffRearm) {
   FleetFaultConfig config = QuietScenario(4, 3);
   config.remediation.quarantine_window = FromMillis(1000);
-  config.remediation.probation_windows = 4;
-  config.remediation.rearm_backoff_base = FromMillis(2000);
   config.remediation.strike_window = FromMillis(1);  // isolate damping
   // Timeline: quarantine [1s, 2s), probation [2s, 3s), rollback at 3s,
   // re-armed at 5s. The 3.5s verdict is damped; the 5.5s verdict acts and
@@ -194,14 +191,7 @@ TEST(RemediateRollbackTest, FalsePositiveRollbackRestoresPlacement) {
   Simulator sim;
   ClusterDispatcher fleet(&sim, base.cluster);
 
-  AutoscaleConfig control;
-  control.cluster = base.cluster;
-  control.scaling = base.scaling;
-  control.control_period = base.control_period;
-  control.target_util = base.target_util;
-  control.min_nodes = base.min_nodes;
-  control.max_migrations_per_period = base.max_migrations_per_period;
-  FleetController controller(&sim, &fleet, control);
+  FleetController controller(&sim, &fleet, FaultScenarioControl(base.cluster));
 
   std::vector<int> node_zone(static_cast<size_t>(base.cluster.num_nodes));
   for (int n = 0; n < base.cluster.num_nodes; ++n) {

@@ -329,7 +329,7 @@ TEST(DetectorTest, StragglerFlaggedOncePerEpisodeAndRearms) {
   sim.Step(c, straggling);
   sim.Step(c, straggling);
   EXPECT_EQ(sim.detector.verdicts().size(), 1u);
-  // Healthy for clear_windows, then a relapse: a new episode, new verdict.
+  // Healthy for two windows (the clear rule), then a relapse: a new episode, new verdict.
   sim.Step(c, healthy);
   sim.Step(c, healthy);
   sim.Step(c, straggling);
@@ -356,7 +356,7 @@ TEST(DetectorTest, SparseNodesAreNeverJudged) {
   std::vector<int64_t> healthy(16, 1000000);
   sim.Step(c, healthy);
   sim.Step(c, healthy);
-  // Node 5 slows 10x but lands only 2 completions (< min_node_completions).
+  // Node 5 slows 10x but lands only 2 completions (below the 4 a node needs to be judged).
   std::vector<uint64_t> sparse = c;
   sparse[5] = 2;
   std::vector<int64_t> slow = healthy;

@@ -164,7 +164,6 @@ TEST_F(TpcSchedulerTest, BusyUntilTimersSetAndCleared) {
 TEST_F(TpcSchedulerTest, TimerMarginBlocksStealOfBusyLookingTpcs) {
   LithosConfig cfg;
   cfg.enable_stealing = true;
-  cfg.steal_idle_margin = 0;
   TpcScheduler sched(spec_, cfg);
   sched.RegisterClient(1, PriorityClass::kHighPriority, 54);
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
