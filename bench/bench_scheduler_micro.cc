@@ -90,6 +90,30 @@ void BM_EngineKernelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineKernelChurn);
 
+void BM_EngineSharedChurn(benchmark::State& state) {
+  // The LithOS shape: 4-8 concurrent grants on overlapping 18-TPC masks, so
+  // every launch and completion re-rates the co-tenants it shares TPCs with.
+  // Beside BM_EngineKernelChurn's single full-device grant, this gives the
+  // engine's per-grant cost for partial, shared masks.
+  Simulator sim;
+  const GpuSpec spec = GpuSpec::A100();
+  ExecutionEngine engine(&sim, spec);
+  KernelDesc k = MakeKernel("k", 4096, FromMicros(100), 0.9, 0.5, spec);
+  int grants = 4;
+  for (auto _ : state) {
+    for (int i = 0; i < grants; ++i) {
+      WorkItem item;
+      item.kernel = &k;
+      item.client_id = 1 + i;
+      const int lo = (7 * i) % 36;
+      benchmark::DoNotOptimize(engine.Launch(std::move(item), TpcRange(lo, lo + 18)));
+    }
+    sim.RunToCompletion();
+    grants = grants == 8 ? 4 : grants + 1;
+  }
+}
+BENCHMARK(BM_EngineSharedChurn);
+
 void BM_SimulatorEventLoop(benchmark::State& state) {
   Simulator sim;
   for (auto _ : state) {

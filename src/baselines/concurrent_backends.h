@@ -97,7 +97,6 @@ class TgsBackend : public BaselineBackend {
 
  private:
   void PumpBestEffort();
-  void ScheduleBeLaunch(Stream* stream);
 
   // Rate-control state: the BE inter-launch gap grows multiplicatively when
   // HP work coexists and decays when the HP side is idle.

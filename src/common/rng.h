@@ -71,9 +71,6 @@ class Rng {
     return mean + stddev * z;
   }
 
-  // Log-normal: exp(Normal(mu, sigma)).
-  double LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
-
   // Samples an index from unnormalised weights.
   size_t WeightedIndex(const std::vector<double>& weights) {
     LITHOS_CHECK(!weights.empty());

@@ -20,6 +20,21 @@ double LatencyPredictor::FreqFactor(int freq_mhz, double sensitivity) const {
   return 1.0 + sensitivity * (ratio - 1.0);
 }
 
+const ScalingFit& LatencyPredictor::Fit(const OperatorModel& m) const {
+  if (m.fit_stale) {
+    std::vector<double> ts, ls;
+    ts.reserve(m.by_tpcs.size());
+    ls.reserve(m.by_tpcs.size());
+    for (const auto& [t, l] : m.by_tpcs) {
+      ts.push_back(static_cast<double>(t));
+      ls.push_back(l);
+    }
+    m.fit = FitInverseScaling(ts, ls);
+    m.fit_stale = false;
+  }
+  return m.fit;
+}
+
 DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecConditions& cond) const {
   const double frac = std::clamp(cond.block_fraction, 1e-9, 1.0);
 
@@ -41,14 +56,7 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
 
   if (m.by_tpcs.size() >= 2) {
     // Enough distinct allocations: fit l = m/t + b over canonical points.
-    std::vector<double> ts, ls;
-    ts.reserve(m.by_tpcs.size());
-    for (const auto& [t, l] : m.by_tpcs) {
-      ts.push_back(static_cast<double>(t));
-      ls.push_back(l);
-    }
-    const ScalingFit fit = FitInverseScaling(ts, ls);
-    const double lat = fit.Latency(std::max(cond.tpcs, 1e-6));
+    const double lat = Fit(m).Latency(std::max(cond.tpcs, 1e-6));
     return static_cast<DurationNs>(std::max(1.0, lat * frac * ff));
   }
 
@@ -98,6 +106,7 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
                          ? canonical
                          : (1.0 - kEwmaAlpha) * m.canonical_ewma + kEwmaAlpha * canonical;
   m.last_tpcs = cond.tpcs;
+  m.fit_stale = true;
   ++m.observations;
 
   // Queue-wide running mean prior.
@@ -122,12 +131,7 @@ bool LatencyPredictor::GetScalingFit(const OperatorKey& key, ScalingFit* fit) co
   if (it == ops_.end() || it->second.by_tpcs.size() < 2) {
     return false;
   }
-  std::vector<double> ts, ls;
-  for (const auto& [t, l] : it->second.by_tpcs) {
-    ts.push_back(static_cast<double>(t));
-    ls.push_back(l);
-  }
-  *fit = FitInverseScaling(ts, ls);
+  *fit = Fit(it->second);
   return true;
 }
 

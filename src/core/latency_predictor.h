@@ -122,9 +122,15 @@ class LatencyPredictor {
     double freq_sensitivity = 1.0;
     bool sensitivity_known = false;
     uint64_t observations = 0;
+    // l = m/t + b over by_tpcs, refitted lazily: Record marks it stale, and
+    // the first Predict or GetScalingFit after that refits once.
+    mutable ScalingFit fit;
+    mutable bool fit_stale = true;
   };
 
   double FreqFactor(int freq_mhz, double sensitivity) const;
+  // The model's scaling fit; requires by_tpcs.size() >= 2.
+  const ScalingFit& Fit(const OperatorModel& m) const;
 
   GpuSpec spec_;
   std::unordered_map<OperatorKey, OperatorModel, OperatorKeyHash> ops_;

@@ -67,19 +67,15 @@ void LithosBackend::OnStreamReady(Stream* stream) {
 
 void LithosBackend::UpdateWaitingFlags() {
   // Tell the TPC scheduler which clients currently have parked work; steal
-  // eligibility depends on it.
-  std::unordered_map<int, bool> waiting;
+  // eligibility depends on it. Nothing reads the flags in between, so clearing
+  // them all and then setting the parked streams' owners is exact.
   for (const auto& [id, c] : clients_) {
-    waiting[id] = false;
+    tpc_scheduler_.SetClientWaiting(id, false);
   }
-  for (Stream* s : waiting_hp_) {
-    waiting[s->client_id()] = true;
-  }
-  for (Stream* s : waiting_be_) {
-    waiting[s->client_id()] = true;
-  }
-  for (const auto& [id, w] : waiting) {
-    tpc_scheduler_.SetClientWaiting(id, w);
+  for (const auto* queue : {&waiting_hp_, &waiting_be_}) {
+    for (const Stream* s : *queue) {
+      tpc_scheduler_.SetClientWaiting(s->client_id(), true);
+    }
   }
 }
 

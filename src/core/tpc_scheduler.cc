@@ -8,7 +8,7 @@
 namespace lithos {
 
 TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
-    : spec_(spec), config_(config) {
+    : config_(config), total_tpcs_(spec.TotalTpcs()) {
   home_owner_.fill(-1);
   occupant_.fill(-1);
   busy_until_.fill(0);
@@ -19,8 +19,7 @@ void TpcScheduler::RegisterClient(int client_id, PriorityClass priority, int quo
   LITHOS_CHECK(clients_.count(client_id) == 0);
   ClientState state;
   state.priority = priority;
-  const int total = spec_.TotalTpcs();
-  const int granted = std::clamp(quota, 0, total - next_home_tpc_);
+  const int granted = std::clamp(quota, 0, total_tpcs_ - next_home_tpc_);
   for (int i = 0; i < granted; ++i) {
     const int t = next_home_tpc_ + i;
     home_owner_[t] = client_id;
@@ -61,7 +60,7 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
   TpcMask granted;
   int remaining = desired;
   uint64_t stolen = 0;
-  const int total = spec_.TotalTpcs();
+  const int total = total_tpcs_;
 
   auto take = [&](int t, bool is_steal) {
     granted.set(t);
@@ -126,13 +125,11 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
 }
 
 void TpcScheduler::Release(const TpcMask& mask, TimeNs now) {
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (mask.test(t)) {
-      LITHOS_CHECK_NE(occupant_[t], -1);
-      occupant_[t] = -1;
-      busy_until_[t] = now;
-    }
-  }
+  ForEachTpc(mask, total_tpcs_, [&](int t) {
+    LITHOS_CHECK_NE(occupant_[t], -1);
+    occupant_[t] = -1;
+    busy_until_[t] = now;
+  });
 }
 
 void TpcScheduler::RequestReclaim(int client_id) {
@@ -141,11 +138,11 @@ void TpcScheduler::RequestReclaim(int client_id) {
     return;
   }
   ++stats_.reclaim_requests;
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (it->second.home.test(t) && occupant_[t] != -1 && occupant_[t] != client_id) {
+  ForEachTpc(it->second.home, total_tpcs_, [&](int t) {
+    if (occupant_[t] != -1 && occupant_[t] != client_id) {
       reclaim_[t] = true;
     }
-  }
+  });
 }
 
 void TpcScheduler::SetClientWaiting(int client_id, bool waiting) {
@@ -188,7 +185,7 @@ TpcMask TpcScheduler::HomeMask(int client_id) const {
 
 int TpcScheduler::FreeTpcs() const {
   int n = 0;
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
+  for (int t = 0; t < total_tpcs_; ++t) {
     if (occupant_[t] == -1) {
       ++n;
     }
@@ -202,11 +199,11 @@ int TpcScheduler::FreeHomeTpcs(int client_id) const {
     return 0;
   }
   int n = 0;
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (it->second.home.test(t) && occupant_[t] == -1) {
+  ForEachTpc(it->second.home, total_tpcs_, [&](int t) {
+    if (occupant_[t] == -1) {
       ++n;
     }
-  }
+  });
   return n;
 }
 

@@ -82,7 +82,6 @@ class TpcScheduler {
   TpcMask HomeMask(int client_id) const;
   int FreeTpcs() const;                      // TPCs with no occupant
   int FreeHomeTpcs(int client_id) const;     // idle TPCs in own home region
-  int OccupantOf(int tpc) const { return occupant_[tpc]; }
   TimeNs BusyUntil(int tpc) const { return busy_until_[tpc]; }
   bool IsReclaimFlagged(int tpc) const { return reclaim_[tpc]; }
   const TpcSchedulerStats& stats() const { return stats_; }
@@ -98,8 +97,8 @@ class TpcScheduler {
 
   bool StealAllowed(int thief, int tpc) const;
 
-  GpuSpec spec_;
   LithosConfig config_;
+  int total_tpcs_;
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
   std::array<int, kMaxTpcs> occupant_;     // -1 = idle
   std::array<TimeNs, kMaxTpcs> busy_until_;

@@ -17,6 +17,7 @@ constexpr double kProgressEpsilon = 1e-9;
 ExecutionEngine::ExecutionEngine(Simulator* sim, const GpuSpec& spec)
     : sim_(sim),
       spec_(spec),
+      total_tpcs_(spec.TotalTpcs()),
       current_mhz_(spec.max_mhz),
       desired_mhz_(spec.max_mhz),
       last_account_(sim->Now()) {}
@@ -71,17 +72,15 @@ double ExecutionEngine::CurrentLatencyNs(const Grant& g) const {
   double effective = 0;
   double foreign_sum = 0;
   int n = 0;
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      LITHOS_CHECK_GT(sharers_[t], 0);
-      const double total_w = share_weight_[t];
-      effective += w / total_w;
-      if (total_w > w) {
-        foreign_sum += (total_w - w) / total_w;
-      }
-      ++n;
+  ForEachTpc(g.mask, total_tpcs_, [&](int t) {
+    LITHOS_CHECK_GT(sharers_[t], 0);
+    const double total_w = share_weight_[t];
+    effective += w / total_w;
+    if (total_w > w) {
+      foreign_sum += (total_w - w) / total_w;
     }
-  }
+    ++n;
+  });
   effective = std::max(effective, 1e-6);
   double lat = static_cast<double>(k.RangeLatencyNs(spec_, lo, hi, effective, current_mhz_));
 
@@ -92,7 +91,7 @@ double ExecutionEngine::CurrentLatencyNs(const Grant& g) const {
   if (foreign > 0) {
     const double own_span =
         std::min(1.0, static_cast<double>(k.MaxUsefulTpcs(spec_)) /
-                          static_cast<double>(spec_.TotalTpcs()));
+                          static_cast<double>(total_tpcs_));
     // Quadratic in the foreign fraction: a kernel that retains most of the
     // issue bandwidth (e.g. hardware stream priority boosts its share) hides
     // contention much better than one swamped by foreign blocks.
@@ -134,7 +133,7 @@ double ExecutionEngine::InstantPowerW() const {
     return spec_.gated_power_w;
   }
   const double busy_frac =
-      static_cast<double>(busy_mask_.count()) / static_cast<double>(spec_.TotalTpcs());
+      static_cast<double>(busy_mask_.count()) / static_cast<double>(total_tpcs_);
   const double f_ratio = static_cast<double>(current_mhz_) / static_cast<double>(spec_.max_mhz);
   const double idle_scale = spec_.idle_freq_floor + (1.0 - spec_.idle_freq_floor) * f_ratio;
   return spec_.idle_power_w * idle_scale +
@@ -144,8 +143,13 @@ double ExecutionEngine::InstantPowerW() const {
 void ExecutionEngine::CheckpointGrant(Grant& g) {
   const TimeNs now = sim_->Now();
   const double elapsed = static_cast<double>(now - g.last_checkpoint);
+#ifndef NDEBUG
+  // The memo is exact: every rate change checkpoints before and reschedules
+  // after, so the latency from the last RescheduleGrant is still current.
+  LITHOS_CHECK_EQ(g.latency_ns, CurrentLatencyNs(g));
+#endif
   if (elapsed > 0) {
-    g.progress = std::min(1.0, g.progress + elapsed / CurrentLatencyNs(g));
+    g.progress = std::min(1.0, g.progress + elapsed / g.latency_ns);
   }
   g.last_checkpoint = now;
   if (trace_ != nullptr) {
@@ -188,7 +192,8 @@ void ExecutionEngine::RescheduleAllRunning() {
 }
 
 void ExecutionEngine::RescheduleGrant(Grant& g) {
-  const double remaining = (1.0 - g.progress) * CurrentLatencyNs(g);
+  g.latency_ns = CurrentLatencyNs(g);
+  const double remaining = (1.0 - g.progress) * g.latency_ns;
   const TimeNs finish =
       sim_->Now() + std::max<DurationNs>(0, static_cast<DurationNs>(std::ceil(remaining)));
   if (g.completion_event != 0 && sim_->Reschedule(g.completion_event, finish)) {
@@ -209,14 +214,12 @@ void ExecutionEngine::EnsureClient(int client_id) {
 }
 
 void ExecutionEngine::AddToTpcs(Grant& g) {
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      if (sharers_[t]++ == 0) {
-        busy_mask_.set(t);
-      }
-      share_weight_[t] += g.item.share_weight;
+  ForEachTpc(g.mask, total_tpcs_, [&](int t) {
+    if (sharers_[t]++ == 0) {
+      busy_mask_.set(t);
     }
-  }
+    share_weight_[t] += g.item.share_weight;
+  });
   const int c = g.item.client_id;
   EnsureClient(c);
   client_alloc_tpcs_[static_cast<size_t>(c)] += static_cast<int>(g.mask.count());
@@ -227,17 +230,15 @@ void ExecutionEngine::AddToTpcs(Grant& g) {
 }
 
 void ExecutionEngine::RemoveFromTpcs(Grant& g) {
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      LITHOS_CHECK_GT(sharers_[t], 0);
-      if (--sharers_[t] == 0) {
-        busy_mask_.reset(t);
-        share_weight_[t] = 0;  // Clear accumulated floating-point residue.
-      } else {
-        share_weight_[t] -= g.item.share_weight;
-      }
+  ForEachTpc(g.mask, total_tpcs_, [&](int t) {
+    LITHOS_CHECK_GT(sharers_[t], 0);
+    if (--sharers_[t] == 0) {
+      busy_mask_.reset(t);
+      share_weight_[t] = 0;  // Clear accumulated floating-point residue.
+    } else {
+      share_weight_[t] -= g.item.share_weight;
     }
-  }
+  });
   const int c = g.item.client_id;
   client_alloc_tpcs_[static_cast<size_t>(c)] -= static_cast<int>(g.mask.count());
   if (--client_running_[static_cast<size_t>(c)] == 0) {

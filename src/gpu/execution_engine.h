@@ -26,6 +26,16 @@
 // incrementally so the control-plane pollers (fleet controller, DVFS, right-
 // sizer) never trigger a rebuild.
 //
+// Per-grant work is O(set bits): mask loops use ForEachTpc, which walks the
+// mask a 64-bit word at a time in ascending TPC order, so floating-point sums
+// keep the order of a bit-by-bit loop. Each grant also memoises its latency:
+// RescheduleGrant stores CurrentLatencyNs in Grant::latency_ns, and
+// CheckpointGrant divides by the stored value. The memo is exact because
+// every rate change (launch, pause, resume, reassign, abort, completion, DVFS
+// apply) checkpoints the affected grants before it touches sharers_,
+// share_weight_ or the clock and reschedules them after; Debug builds
+// recompute and compare at every checkpoint.
+//
 // The engine also integrates power and allocation accounting so the
 // right-sizing (Fig. 17) and DVFS (Fig. 18) experiments read energy and
 // capacity directly from the same clockwork.
@@ -136,11 +146,6 @@ class ExecutionEngine {
   // TPCs with at least one running (non-paused) grant.
   const TpcMask& BusyMask() const { return busy_mask_; }
   int NumRunningGrants() const { return running_grants_; }
-  // Number of running grants whose mask includes `tpc`.
-  int SharersOn(int tpc) const { return sharers_[tpc]; }
-  // Clients with at least one running grant, in first-became-active order.
-  // The reference stays valid but its contents change with engine state.
-  const std::vector<int>& ActiveClients() const { return active_clients_; }
 
   // --- DVFS ----------------------------------------------------------------
 
@@ -148,8 +153,6 @@ class ExecutionEngine {
   // Repeated requests coalesce (the most recent target wins).
   void RequestFrequencyMhz(int mhz);
   int CurrentFrequencyMhz() const { return current_mhz_; }
-  int TargetFrequencyMhz() const { return desired_mhz_; }
-  bool FrequencySwitchInFlight() const { return switch_event_ != 0; }
 
   // --- Power gating --------------------------------------------------------
 
@@ -195,6 +198,9 @@ class ExecutionEngine {
     WorkItem item;
     TpcMask mask;
     double progress = 0;          // fraction of work done, [0, 1]
+    // CurrentLatencyNs as of the last RescheduleGrant: the rate progress
+    // accrues at until the next checkpoint (see CheckpointGrant).
+    double latency_ns = 0;
     TimeNs last_checkpoint = 0;
     TimeNs submit_time = 0;
     TimeNs start_time = 0;
@@ -222,8 +228,8 @@ class ExecutionEngine {
   // mask, or per-client allocation rates.
   void FlushAccounting();
 
-  // Folds elapsed time into one grant's progress at its current rate. Must
-  // run before anything changes that rate.
+  // Folds elapsed time into one grant's progress at its current rate, read
+  // from the latency_ns memo. Must run before anything changes that rate.
   void CheckpointGrant(Grant& g);
 
   // Affected set: running grants whose mask overlaps `touched`. Checkpoint
@@ -235,8 +241,9 @@ class ExecutionEngine {
   void CheckpointAllRunning();
   void RescheduleAllRunning();
 
-  // Moves the grant's completion event to its recomputed finish time
-  // (in-place Reschedule when the event is live, fresh ScheduleAt otherwise).
+  // Recomputes the grant's latency into its latency_ns memo and moves its
+  // completion event to the new finish time (in-place Reschedule when the
+  // event is live, fresh ScheduleAt otherwise).
   void RescheduleGrant(Grant& g);
   void OnGrantFinished(GrantId id);
 
@@ -248,6 +255,7 @@ class ExecutionEngine {
 
   Simulator* sim_;
   GpuSpec spec_;
+  int total_tpcs_;  // spec_.TotalTpcs(), which sums gpc_tpcs on every call
 
   std::vector<Grant> grants_;            // slab; iterate by slot, skip !occupied
   std::vector<uint32_t> free_grants_;

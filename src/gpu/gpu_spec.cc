@@ -9,11 +9,11 @@ namespace lithos {
 TpcMask TpcRange(int lo, int hi) {
   LITHOS_CHECK_GE(lo, 0);
   LITHOS_CHECK_LE(hi, kMaxTpcs);
-  TpcMask mask;
-  for (int i = lo; i < hi; ++i) {
-    mask.set(i);
+  if (hi <= lo) {
+    return TpcMask{};
   }
-  return mask;
+  // hi - lo ones at the bottom, then moved up to start at lo.
+  return (~TpcMask{} >> (kMaxTpcs - (hi - lo))) << lo;
 }
 
 int FirstTpc(const TpcMask& mask) {

@@ -24,6 +24,30 @@ using TpcMask = std::bitset<kMaxTpcs>;
 // Builds a mask with TPCs [lo, hi) set.
 TpcMask TpcRange(int lo, int hi);
 
+// Calls f(t) for every set TPC t < limit, in ascending order. Walks the mask a
+// 64-bit word at a time (count-trailing-zeros, then clear the lowest set
+// bit), so the cost is O(set bits) rather than O(limit). Ascending order keeps
+// floating-point sums over the mask in the same order as a bit-by-bit loop.
+template <typename F>
+inline void ForEachTpc(const TpcMask& mask, int limit, F&& f) {
+  static_assert(kMaxTpcs == 128, "ForEachTpc splits the mask into two words");
+  const uint64_t words[2] = {((mask << 64) >> 64).to_ullong(), (mask >> 64).to_ullong()};
+  for (int w = 0; w < 2; ++w) {
+    const int base = 64 * w;
+    if (limit <= base) {
+      return;
+    }
+    uint64_t bits = words[w];
+    if (limit - base < 64) {
+      bits &= (uint64_t{1} << (limit - base)) - 1;
+    }
+    while (bits != 0) {
+      f(base + __builtin_ctzll(bits));
+      bits &= bits - 1;
+    }
+  }
+}
+
 // Lowest set TPC index, or -1 when empty.
 int FirstTpc(const TpcMask& mask);
 

@@ -1,7 +1,9 @@
 // Randomised invariant tests for the execution engine: arbitrary interleaved
-// launches, pauses, resumes, reassignments, and aborts must never violate
-// the engine's accounting invariants, and all surviving work must eventually
-// complete exactly once.
+// launches, pauses, resumes, reassignments, aborts, and clock changes on
+// contiguous and scattered TPC masks must never violate the engine's
+// accounting invariants, and all surviving work must eventually complete
+// exactly once. Debug builds also check the per-grant latency memo against a
+// fresh recomputation at every checkpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,13 +25,33 @@ struct FuzzResult {
   std::multiset<GrantId> completions;
 };
 
-class EngineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+// A non-empty mask over TPCs [0, n): half the time a contiguous range, half
+// the time a scattered set of bits.
+TpcMask RandomMask(Rng& rng, int n) {
+  if (rng.NextDouble() < 0.5) {
+    const int lo = static_cast<int>(rng.UniformInt(0, n - 1));
+    return TpcRange(lo, static_cast<int>(rng.UniformInt(lo + 1, n)));
+  }
+  const double density = rng.Uniform(0.05, 0.9);
+  TpcMask mask;
+  for (int t = 0; t < n; ++t) {
+    if (rng.NextDouble() < density) {
+      mask.set(static_cast<size_t>(t));
+    }
+  }
+  if (mask.none()) {
+    mask.set(static_cast<size_t>(rng.UniformInt(0, n - 1)));
+  }
+  return mask;
+}
 
-TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
+void RunEngineFuzz(GpuSpec spec, uint64_t seed) {
+  // A short clock switch lands DVFS transitions while grants are running.
+  spec.freq_switch_latency = FromMicros(250);
   Simulator sim;
-  GpuSpec spec = GpuSpec::A100();
   ExecutionEngine engine(&sim, spec);
-  Rng rng(GetParam());
+  Rng rng(seed);
+  const int n = spec.TotalTpcs();
 
   std::vector<KernelDesc> kernels;
   kernels.reserve(8);
@@ -47,7 +69,7 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
   // Schedule a random action every 100us for 200 steps.
   for (int step = 0; step < 200; ++step) {
     sim.ScheduleAt(step * FromMicros(100), [&, step] {
-      const int action = static_cast<int>(rng.UniformInt(0, 9));
+      const int action = static_cast<int>(rng.UniformInt(0, 10));
       // Prune dead ids lazily.
       auto prune = [&](std::vector<GrantId>& v) {
         v.erase(std::remove_if(v.begin(), v.end(),
@@ -59,8 +81,6 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
 
       if (action <= 4 || (live.empty() && paused.empty())) {
         // Launch on a random non-empty mask.
-        const int lo = static_cast<int>(rng.UniformInt(0, 52));
-        const int hi = static_cast<int>(rng.UniformInt(lo + 1, 54));
         WorkItem item;
         item.kernel = &kernels[static_cast<size_t>(rng.UniformInt(0, 7))];
         item.client_id = static_cast<int>(rng.UniformInt(1, 4));
@@ -70,7 +90,7 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
           result.completions.insert(info.id);
           EXPECT_GE(info.end_time, info.start_time);
         };
-        live.push_back(engine.Launch(std::move(item), TpcRange(lo, hi)));
+        live.push_back(engine.Launch(std::move(item), RandomMask(rng, n)));
         ++result.launched;
       } else if (action == 5 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
@@ -80,12 +100,16 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
       } else if (action == 6 && !paused.empty()) {
         const size_t i =
             static_cast<size_t>(rng.UniformInt(0, static_cast<int>(paused.size()) - 1));
-        engine.Resume(paused[i], TpcRange(0, static_cast<int>(rng.UniformInt(1, 54))));
+        engine.Resume(paused[i], RandomMask(rng, n));
         live.push_back(paused[i]);
         paused.erase(paused.begin() + static_cast<long>(i));
       } else if (action == 7 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
-        engine.Reassign(live[i], TpcRange(0, static_cast<int>(rng.UniformInt(1, 54))));
+        engine.Reassign(live[i], RandomMask(rng, n));
+      } else if (action == 10) {
+        // The clock change lands freq_switch_latency later and re-rates every
+        // running grant at once.
+        engine.RequestFrequencyMhz(static_cast<int>(rng.UniformInt(spec.min_mhz, spec.max_mhz)));
       } else if (action >= 8 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
         engine.Abort(live[i]);
@@ -119,6 +143,17 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
   // Energy and capacity integrals are finite and non-negative.
   EXPECT_GE(stats.energy_joules, 0.0);
   EXPECT_GE(stats.busy_tpc_seconds, 0.0);
+}
+
+class EngineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
+  RunEngineFuzz(GpuSpec::A100(), GetParam());
+}
+
+// 68 TPCs: masks straddle the 64-bit word boundary of the mask walk.
+TEST_P(EngineFuzzTest, H100MasksAcrossTheWordBoundary) {
+  RunEngineFuzz(GpuSpec::H100(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,

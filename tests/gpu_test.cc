@@ -2,6 +2,8 @@
 // table, kernel occupancy, and the ground-truth latency law.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/gpu/gpu_spec.h"
 #include "src/gpu/kernel.h"
 
@@ -61,6 +63,48 @@ TEST(TpcMaskTest, RangeAndFirst) {
   EXPECT_FALSE(mask.test(7));
   EXPECT_EQ(FirstTpc(mask), 3);
   EXPECT_EQ(FirstTpc(TpcMask{}), -1);
+}
+
+TEST(TpcMaskTest, RangeMatchesBitByBitReference) {
+  for (int lo = 0; lo <= kMaxTpcs; ++lo) {
+    for (int hi = lo; hi <= kMaxTpcs; ++hi) {
+      TpcMask expected;
+      for (int t = lo; t < hi; ++t) {
+        expected.set(static_cast<size_t>(t));
+      }
+      ASSERT_EQ(TpcRange(lo, hi), expected) << "lo=" << lo << " hi=" << hi;
+    }
+  }
+}
+
+std::vector<int> VisitedTpcs(const TpcMask& mask, int limit) {
+  std::vector<int> visited;
+  ForEachTpc(mask, limit, [&](int t) { visited.push_back(t); });
+  return visited;
+}
+
+TEST(TpcMaskTest, ForEachTpcVisitsSetBitsInAscendingOrder) {
+  EXPECT_TRUE(VisitedTpcs(TpcMask{}, kMaxTpcs).empty());
+
+  TpcMask mask;
+  for (const int t : {127, 64, 0, 63, 5, 100}) {
+    mask.set(static_cast<size_t>(t));
+  }
+  EXPECT_EQ(VisitedTpcs(mask, kMaxTpcs), (std::vector<int>{0, 5, 63, 64, 100, 127}));
+  // Bits at or above `limit` are skipped, on either side of the word boundary.
+  EXPECT_EQ(VisitedTpcs(mask, 101), (std::vector<int>{0, 5, 63, 64, 100}));
+  EXPECT_EQ(VisitedTpcs(mask, 64), (std::vector<int>{0, 5, 63}));
+  EXPECT_EQ(VisitedTpcs(mask, 63), (std::vector<int>{0, 5}));
+  EXPECT_EQ(VisitedTpcs(mask, 0), std::vector<int>{});
+
+  // A full mask visits exactly [0, limit).
+  for (const int limit : {1, 54, 68, 127, kMaxTpcs}) {
+    const std::vector<int> visited = VisitedTpcs(~TpcMask{}, limit);
+    ASSERT_EQ(static_cast<int>(visited.size()), limit);
+    for (int i = 0; i < limit; ++i) {
+      EXPECT_EQ(visited[static_cast<size_t>(i)], i);
+    }
+  }
 }
 
 TEST(KernelTest, OccupancyLimitedByThreads) {
