@@ -19,11 +19,9 @@ void BM_TpcAcquireRelease(benchmark::State& state) {
   TpcScheduler sched(spec, cfg);
   sched.RegisterClient(1, PriorityClass::kHighPriority, 40);
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
-  TimeNs now = 0;
   for (auto _ : state) {
-    const TpcMask mask = sched.Acquire(1, static_cast<int>(state.range(0)), now, FromMillis(1));
-    sched.Release(mask, now);
-    ++now;
+    const TpcMask mask = sched.Acquire(1, static_cast<int>(state.range(0)));
+    sched.Release(mask);
   }
 }
 BENCHMARK(BM_TpcAcquireRelease)->Arg(8)->Arg(32)->Arg(54);

@@ -1,9 +1,9 @@
 // Online latency prediction (paper Section 4.7).
 //
 // The predictor learns per-operator execution times entirely online — no
-// offline profiling — and feeds every other LithOS component: the TPC
-// Scheduler's per-TPC busy timers, the Kernel Atomizer's split counts, the
-// right-sizer's scaling curves, and the DVFS manager's sensitivity estimates.
+// offline profiling — and feeds the other LithOS components: the Kernel
+// Atomizer's split counts, the right-sizer's scaling curves, and the DVFS
+// manager's sensitivity estimates.
 //
 // Operators are identified by (launch queue, batch ordinal, launch signature):
 // a single kernel function reused across layers with different tensor shapes
@@ -94,9 +94,6 @@ class LatencyPredictor {
   // Distinct TPC allocations observed for the operator.
   int DistinctTpcPoints(const OperatorKey& key) const;
 
-  // Mean observed latency at canonical conditions; 0 if unseen.
-  double CanonicalLatencyNs(const OperatorKey& key) const;
-
   // Learned frequency sensitivity s in [0,1]; negative when no cross-
   // frequency evidence exists yet (the DVFS manager then assumes s = 1).
   double FreqSensitivity(const OperatorKey& key) const;
@@ -115,13 +112,10 @@ class LatencyPredictor {
     // EWMA latency per distinct TPC allocation, normalised to full grid
     // fraction and max frequency with the operator's estimated sensitivity.
     std::map<int, double> by_tpcs;  // rounded tpcs -> canonical ns
-    double canonical_ewma = 0;      // overall canonical EWMA (any allocation)
-    double last_tpcs = 0;           // allocation of most recent observation
     // Frequency sensitivity estimate (s in [0,1]); starts at the conservative
     // linear assumption s = 1.
     double freq_sensitivity = 1.0;
     bool sensitivity_known = false;
-    uint64_t observations = 0;
     // l = m/t + b over by_tpcs, refitted lazily: Record marks it stale, and
     // the first Predict or GetScalingFit after that refits once.
     mutable ScalingFit fit;

@@ -144,15 +144,7 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   // best-effort clients ask for the kernel's occupancy bound.
   const int desired = right_sizer_.ChooseTpcs(key, kernel, BaseAllocation(client, kernel));
 
-  // Coarse duration estimate for the busy-until timers.
-  ExecConditions probe_cond;
-  probe_cond.tpcs = desired;
-  probe_cond.freq_mhz = engine_->CurrentFrequencyMhz();
-  probe_cond.block_fraction = 1.0;
-  const DurationNs coarse_pred = predictor_.Predict(key, probe_cond);
-
-  const TpcMask mask =
-      tpc_scheduler_.Acquire(client, desired, sim_->Now(), coarse_pred);
+  const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
   if (mask.none()) {
     if (IsHighPriority(client)) {
       tpc_scheduler_.RequestReclaim(client);
@@ -160,9 +152,10 @@ bool LithosBackend::TryDispatch(Stream* stream) {
     return false;
   }
 
-  // Refine the prediction with the actual grant and build the atom plan.
-  ExecConditions cond = probe_cond;
+  // Predict the whole kernel on the actual grant and build the atom plan.
+  ExecConditions cond;
   cond.tpcs = static_cast<double>(mask.count());
+  cond.freq_mhz = engine_->CurrentFrequencyMhz();
   const DurationNs predicted = predictor_.Predict(key, cond);
 
   HeadExec exec;
@@ -178,7 +171,7 @@ bool LithosBackend::TryDispatch(Stream* stream) {
 
   // The probe grant only sized the plan; LaunchNextAtom re-acquires. Both
   // happen at the same instant, so the TPCs cannot escape in between.
-  tpc_scheduler_.Release(mask, sim_->Now());
+  tpc_scheduler_.Release(mask);
   const bool launched = LaunchNextAtom(&it->second);
   LITHOS_CHECK(launched);
   return true;
@@ -195,14 +188,7 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   const int desired =
       right_sizer_.ChooseTpcs(exec->key, *exec->kernel, BaseAllocation(client, *exec->kernel));
 
-  ExecConditions cond;
-  cond.tpcs = desired;
-  cond.freq_mhz = engine_->CurrentFrequencyMhz();
-  cond.block_fraction =
-      static_cast<double>(atom.NumBlocks()) / static_cast<double>(exec->kernel->NumBlocks());
-  const DurationNs coarse = predictor_.Predict(exec->key, cond) + atom.overhead_ns;
-
-  const TpcMask mask = tpc_scheduler_.Acquire(client, desired, sim_->Now(), coarse);
+  const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
   if (mask.none()) {
     if (IsHighPriority(client)) {
       tpc_scheduler_.RequestReclaim(client);
@@ -210,7 +196,11 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
     return false;
   }
 
+  ExecConditions cond;
   cond.tpcs = static_cast<double>(mask.count());
+  cond.freq_mhz = engine_->CurrentFrequencyMhz();
+  cond.block_fraction =
+      static_cast<double>(atom.NumBlocks()) / static_cast<double>(exec->kernel->NumBlocks());
   exec->predicted_atom = predictor_.Predict(exec->key, cond) + atom.overhead_ns;
   exec->mask = mask;
 
@@ -242,7 +232,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   if (outstanding_[client] == 0) {
     tpc_scheduler_.SetClientActive(client, false);
   }
-  tpc_scheduler_.Release(exec.mask, sim_->Now());
+  tpc_scheduler_.Release(exec.mask);
 
   // Tracker duties: feed the predictor, DVFS weights, and atomizer feedback.
   const Atom& atom = exec.plan.atoms[exec.next_atom - 1];

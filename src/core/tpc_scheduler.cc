@@ -11,7 +11,6 @@ TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
     : config_(config), total_tpcs_(spec.TotalTpcs()) {
   home_owner_.fill(-1);
   occupant_.fill(-1);
-  busy_until_.fill(0);
   reclaim_.fill(false);
 }
 
@@ -50,7 +49,7 @@ bool TpcScheduler::StealAllowed(int thief, int tpc) const {
   return true;
 }
 
-TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs predicted) {
+TpcMask TpcScheduler::Acquire(int client_id, int desired) {
   LITHOS_CHECK_GT(desired, 0);
   // Track the client's per-kernel demand: fast rise, slow decay.
   auto cit = clients_.find(client_id);
@@ -65,7 +64,6 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
   auto take = [&](int t, bool is_steal) {
     granted.set(t);
     occupant_[t] = client_id;
-    busy_until_[t] = now + predicted;
     if (home_owner_[t] == client_id) {
       reclaim_[t] = false;  // Owner is back; the flag served its purpose.
     }
@@ -87,15 +85,15 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
       take(t, false);
     }
   }
-  // Pass 3: TPC Stealing — idle foreign home TPCs (busy-until timer already
-  // expired), subject to policy and each active owner's headroom: an owner mid-job
-  // keeps enough free home TPCs for its next kernel (its recent demand), so
-  // stealing never shrinks the owner's very next allocation.
+  // Pass 3: TPC Stealing — idle foreign home TPCs, subject to policy and each
+  // active owner's headroom: an owner mid-job keeps enough free home TPCs for
+  // its next kernel (its recent demand), so stealing never shrinks the
+  // owner's very next allocation.
   if (config_.enable_stealing) {
     std::unordered_map<int, int> spare;  // owner -> stealable TPC budget
     for (int t = 0; t < total && remaining > 0; ++t) {
       if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
-          busy_until_[t] > now || !StealAllowed(client_id, t)) {
+          !StealAllowed(client_id, t)) {
         continue;
       }
       const int owner = home_owner_[t];
@@ -124,11 +122,10 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
   return granted;
 }
 
-void TpcScheduler::Release(const TpcMask& mask, TimeNs now) {
+void TpcScheduler::Release(const TpcMask& mask) {
   ForEachTpc(mask, total_tpcs_, [&](int t) {
     LITHOS_CHECK_NE(occupant_[t], -1);
     occupant_[t] = -1;
-    busy_until_[t] = now;
   });
 }
 
@@ -159,11 +156,6 @@ void TpcScheduler::SetClientActive(int client_id, bool active) {
   }
 }
 
-double TpcScheduler::ClientDemand(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? 0.0 : it->second.demand;
-}
-
 bool TpcScheduler::AnyHighPriorityWaiting() const {
   for (const auto& [id, c] : clients_) {
     if (c.waiting && c.priority == PriorityClass::kHighPriority) {
@@ -181,16 +173,6 @@ int TpcScheduler::HomeQuota(int client_id) const {
 TpcMask TpcScheduler::HomeMask(int client_id) const {
   auto it = clients_.find(client_id);
   return it == clients_.end() ? TpcMask{} : it->second.home;
-}
-
-int TpcScheduler::FreeTpcs() const {
-  int n = 0;
-  for (int t = 0; t < total_tpcs_; ++t) {
-    if (occupant_[t] == -1) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 int TpcScheduler::FreeHomeTpcs(int client_id) const {

@@ -6,9 +6,12 @@
 // foreign home TPCs whose owner is not asking for them — to whoever has work,
 // raising utilization without giving up isolation:
 //
-//   * per-TPC busy-until timers (fed by the latency predictor) record when
-//     each TPC is expected to free, so the dispatcher can tell idle from
-//     long-running TPCs;
+//   * an *active* owner (one with atoms in flight) keeps demand headroom:
+//     thieves may take only its free home TPCs beyond its recent per-kernel
+//     demand, so an owner between two kernels still finds its next
+//     allocation free. No per-TPC busy timer is needed: TPCs are released
+//     when their atom completes, so a free TPC is idle at its release
+//     instant, and "busy" is simply "has an occupant";
 //   * when an owner has waiting work but finds its home TPCs stolen, it
 //     flags them for *reclaim*: thieves' subsequent atoms exclude flagged
 //     TPCs, so the owner waits at most one atom duration (Fig. 9c);
@@ -24,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/time.h"
 #include "src/core/config.h"
 #include "src/driver/client.h"
 #include "src/gpu/gpu_spec.h"
@@ -48,13 +50,13 @@ class TpcScheduler {
   void RegisterClient(int client_id, PriorityClass priority, int quota);
 
   // Grants up to `desired` TPCs to `client_id`, preferring its home region,
-  // then the free pool, then stealing. Sets busy-until timers to
-  // now + predicted for every granted TPC. May return fewer than desired,
+  // then the free pool, then stealing, and updates the client's demand. The
+  // TPCs stay occupied until Release. May return fewer than desired,
   // including an empty mask when nothing is available.
-  TpcMask Acquire(int client_id, int desired, TimeNs now, DurationNs predicted);
+  TpcMask Acquire(int client_id, int desired);
 
-  // Returns TPCs to the idle state.
-  void Release(const TpcMask& mask, TimeNs now);
+  // Returns TPCs to the idle state; they are stealable from this instant.
+  void Release(const TpcMask& mask);
 
   // The owner has waiting work: flag its stolen home TPCs so thieves vacate
   // at the next atom boundary.
@@ -69,20 +71,14 @@ class TpcScheduler {
   // headroom — home TPCs beyond the owner's recent per-kernel demand — so the
   // owner's next kernel still finds its full allocation free. An *inactive*
   // owner's whole home region is up for grabs. Together with the reclaim
-  // flags this plays the role of the paper's per-TPC busy timers:
-  // distinguishing "idle" from "between two kernels of a running job".
+  // flags this distinguishes "idle" from "between two kernels of a running
+  // job".
   void SetClientActive(int client_id, bool active);
-
-  // Recent per-kernel TPC demand of a client (fast-rising, slowly decaying
-  // maximum of the `desired` values passed to Acquire).
-  double ClientDemand(int client_id) const;
 
   // --- Introspection --------------------------------------------------------
   int HomeQuota(int client_id) const;
   TpcMask HomeMask(int client_id) const;
-  int FreeTpcs() const;                      // TPCs with no occupant
   int FreeHomeTpcs(int client_id) const;     // idle TPCs in own home region
-  TimeNs BusyUntil(int tpc) const { return busy_until_[tpc]; }
   bool IsReclaimFlagged(int tpc) const { return reclaim_[tpc]; }
   const TpcSchedulerStats& stats() const { return stats_; }
 
@@ -101,7 +97,6 @@ class TpcScheduler {
   int total_tpcs_;
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
   std::array<int, kMaxTpcs> occupant_;     // -1 = idle
-  std::array<TimeNs, kMaxTpcs> busy_until_;
   std::array<bool, kMaxTpcs> reclaim_;
   std::unordered_map<int, ClientState> clients_;
   int next_home_tpc_ = 0;
