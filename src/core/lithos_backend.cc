@@ -144,15 +144,13 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   // best-effort clients ask for the kernel's occupancy bound.
   const int desired = right_sizer_.ChooseTpcs(key, kernel, BaseAllocation(client, kernel));
 
-  const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
+  const TpcMask mask = AcquireOrReclaim(client, desired);
   if (mask.none()) {
-    if (IsHighPriority(client)) {
-      tpc_scheduler_.RequestReclaim(client);
-    }
     return false;
   }
 
-  // Predict the whole kernel on the actual grant and build the atom plan.
+  // Predict the whole kernel on the grant, plan its atoms, and run atom 0 on
+  // that same grant.
   ExecConditions cond;
   cond.tpcs = static_cast<double>(mask.count());
   cond.freq_mhz = engine_->CurrentFrequencyMhz();
@@ -169,32 +167,37 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   auto [it, inserted] = inflight_.emplace(stream, std::move(exec));
   LITHOS_CHECK(inserted);
 
-  // The probe grant only sized the plan; LaunchNextAtom re-acquires. Both
-  // happen at the same instant, so the TPCs cannot escape in between.
-  tpc_scheduler_.Release(mask);
-  const bool launched = LaunchNextAtom(&it->second);
-  LITHOS_CHECK(launched);
+  LaunchAtom(&it->second, mask);
   return true;
 }
 
-bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
-  LITHOS_CHECK_LT(exec->next_atom, exec->plan.atoms.size());
-  const Atom& atom = exec->plan.atoms[exec->next_atom];
-  const int client = exec->stream->client_id();
+TpcMask LithosBackend::AcquireOrReclaim(int client, int desired) {
+  const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
+  if (mask.none() && IsHighPriority(client)) {
+    tpc_scheduler_.RequestReclaim(client);
+  }
+  return mask;
+}
 
+bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   // Re-acquire TPCs: allocations may shrink (reclaim took effect) or grow
   // (new idle TPCs appeared) between atoms — the paper's mid-kernel
   // reallocation.
+  const int client = exec->stream->client_id();
   const int desired =
       right_sizer_.ChooseTpcs(exec->key, *exec->kernel, BaseAllocation(client, *exec->kernel));
-
-  const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
+  const TpcMask mask = AcquireOrReclaim(client, desired);
   if (mask.none()) {
-    if (IsHighPriority(client)) {
-      tpc_scheduler_.RequestReclaim(client);
-    }
     return false;
   }
+  LaunchAtom(exec, mask);
+  return true;
+}
+
+void LithosBackend::LaunchAtom(HeadExec* exec, const TpcMask& mask) {
+  LITHOS_CHECK_LT(exec->next_atom, exec->plan.atoms.size());
+  const Atom& atom = exec->plan.atoms[exec->next_atom];
+  const int client = exec->stream->client_id();
 
   ExecConditions cond;
   cond.tpcs = static_cast<double>(mask.count());
@@ -219,7 +222,6 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   tpc_scheduler_.SetClientActive(client, true);
   ++atoms_dispatched_;
   ++exec->next_atom;
-  return true;
 }
 
 void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {

@@ -8,13 +8,14 @@
 //   2. The dispatcher checks the client's outstanding-atom budget (sync-queue
 //      throttling) and asks the right-sizer how many TPCs the kernel needs.
 //   3. The TPC Scheduler grants a mask: home region first, then free pool,
-//      then stolen idle TPCs. An empty grant parks the stream and flags the
-//      client's stolen home TPCs for reclaim.
+//      then stolen idle TPCs. An empty grant parks the stream and, for a
+//      high-priority client, flags its stolen home TPCs for reclaim.
 //   4. The predictor estimates the kernel's duration on that mask; the
-//      Kernel Atomizer splits long kernels into atoms.
-//   5. Atoms are dispatched sequentially; the mask is re-acquired between
-//      atoms, which is what lets allocations shrink or grow mid-kernel and
-//      lets reclaim take effect within one atom duration.
+//      Kernel Atomizer splits long kernels into atoms, and atom 0 runs on
+//      the grant that sized the plan.
+//   5. Each later atom acquires a fresh mask when its predecessor completes,
+//      which is what lets allocations shrink or grow mid-kernel and lets
+//      reclaim take effect within one atom duration.
 //   6. Completions feed the predictor (a Tracker in the paper), the DVFS
 //      manager, and the atomizer's overhead feedback, then pump the waiting
 //      queues, HP before BE.
@@ -82,8 +83,14 @@ class LithosBackend : public Backend {
   void Pump();
   // Tries to start the head kernel of `stream`; returns false if it must wait.
   bool TryDispatch(Stream* stream);
-  // Launches the next atom of an in-flight head, re-acquiring TPCs.
+  // Acquires up to `desired` TPCs; an empty grant to a high-priority client
+  // flags its stolen home TPCs for reclaim.
+  TpcMask AcquireOrReclaim(int client, int desired);
+  // Acquires TPCs for the next atom of an in-flight head and launches it;
+  // returns false (nothing held) if no TPC is free.
   bool LaunchNextAtom(HeadExec* exec);
+  // Launches the next atom of `exec` on `mask`, which the caller acquired.
+  void LaunchAtom(HeadExec* exec, const TpcMask& mask);
   void OnAtomComplete(Stream* stream, const GrantInfo& info);
   void UpdateWaitingFlags();
 

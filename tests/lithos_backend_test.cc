@@ -146,6 +146,10 @@ TEST_F(LithosBackendTest, BestEffortStealsIdleCapacityAndYields) {
   ASSERT_GT(hp_end, 0);
   // Ideal 2ms; reclaim costs at most a few atom durations.
   EXPECT_LT(hp_end - hp_start, FromMillis(15));
+
+  // One Acquire per atom: each one either launched an atom or came back empty.
+  const TpcSchedulerStats& stats = backend->tpc_scheduler().stats();
+  EXPECT_EQ(stats.acquisitions, backend->atoms_dispatched() + stats.failed_acquisitions);
 }
 
 TEST_F(LithosBackendTest, OutstandingThrottleLimitsConcurrentAtoms) {
