@@ -29,8 +29,6 @@ class TimesliceBackend : public BaselineBackend {
   void OnClientRegistered(const Client& client) override;
   void OnStreamReady(Stream* stream) override;
 
-  int current_client() const { return current_; }
-
  protected:
   void HandleHeadComplete(Stream* stream, const GrantInfo& info) override;
 
