@@ -21,7 +21,7 @@ void BM_TpcAcquireRelease(benchmark::State& state) {
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
   for (auto _ : state) {
     const TpcMask mask = sched.Acquire(1, static_cast<int>(state.range(0)));
-    sched.Release(mask);
+    sched.Release(1, mask);
   }
 }
 BENCHMARK(BM_TpcAcquireRelease)->Arg(8)->Arg(32)->Arg(54);

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/check.h"
 
@@ -69,34 +68,6 @@ class Rng {
     const double u2 = NextDouble();
     const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.28318530717958647692 * u2);
     return mean + stddev * z;
-  }
-
-  // Samples an index from unnormalised weights.
-  size_t WeightedIndex(const std::vector<double>& weights) {
-    LITHOS_CHECK(!weights.empty());
-    double total = 0;
-    for (double w : weights) {
-      total += w;
-    }
-    double r = NextDouble() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      r -= weights[i];
-      if (r <= 0) {
-        return i;
-      }
-    }
-    return weights.size() - 1;
-  }
-
-  // Zipf-like popularity weights for n items with exponent alpha; used by the
-  // fleet-telemetry generator to match the paper's ~300x model frequency
-  // spread (Figure 5).
-  static std::vector<double> ZipfWeights(size_t n, double alpha) {
-    std::vector<double> w(n);
-    for (size_t i = 0; i < n; ++i) {
-      w[i] = 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    }
-    return w;
   }
 
  private:

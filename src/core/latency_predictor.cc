@@ -46,7 +46,7 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
     double base = static_cast<double>(kDefaultLatency);
     auto qit = queue_mean_.find(key.queue_id);
     if (qit != queue_mean_.end()) {
-      base = qit->second;
+      base = qit->second.mean;
     }
     return static_cast<DurationNs>(base * frac * FreqFactor(cond.freq_mhz, 1.0));
   }
@@ -105,10 +105,9 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
   m.fit_stale = true;
 
   // Queue-wide running mean prior.
-  uint64_t& qc = queue_count_[key.queue_id];
-  double& qm = queue_mean_[key.queue_id];
-  ++qc;
-  qm += (canonical - qm) / static_cast<double>(qc);
+  QueueMean& q = queue_mean_[key.queue_id];
+  ++q.count;
+  q.mean += (canonical - q.mean) / static_cast<double>(q.count);
 
   // Accuracy accounting (§7.4): misprediction if |error| > 50us.
   if (predicted > 0) {

@@ -129,8 +129,11 @@ class LatencyPredictor {
   GpuSpec spec_;
   std::unordered_map<OperatorKey, OperatorModel, OperatorKeyHash> ops_;
   // Per-queue running mean used as a prior for unseen operators.
-  std::unordered_map<int, double> queue_mean_;
-  std::unordered_map<int, uint64_t> queue_count_;
+  struct QueueMean {
+    double mean = 0;
+    uint64_t count = 0;
+  };
+  std::unordered_map<int, QueueMean> queue_mean_;
   PredictionStats stats_;
 };
 

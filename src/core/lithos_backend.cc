@@ -57,26 +57,13 @@ void LithosBackend::OnStreamReady(Stream* stream) {
     return;
   }
   waiting_set_.insert(stream);
+  tpc_scheduler_.Park(stream->client_id());
   if (IsHighPriority(stream->client_id())) {
     waiting_hp_.push_back(stream);
   } else {
     waiting_be_.push_back(stream);
   }
   Pump();
-}
-
-void LithosBackend::UpdateWaitingFlags() {
-  // Tell the TPC scheduler which clients currently have parked work; steal
-  // eligibility depends on it. Nothing reads the flags in between, so clearing
-  // them all and then setting the parked streams' owners is exact.
-  for (const auto& [id, c] : clients_) {
-    tpc_scheduler_.SetClientWaiting(id, false);
-  }
-  for (const auto* queue : {&waiting_hp_, &waiting_be_}) {
-    for (const Stream* s : *queue) {
-      tpc_scheduler_.SetClientWaiting(s->client_id(), true);
-    }
-  }
 }
 
 void LithosBackend::Pump() {
@@ -87,7 +74,6 @@ void LithosBackend::Pump() {
   bool progress = true;
   while (progress) {
     progress = false;
-    UpdateWaitingFlags();
     // HP queue strictly before BE, each FIFO.
     for (auto* queue : {&waiting_hp_, &waiting_be_}) {
       for (size_t i = 0; i < queue->size();) {
@@ -95,8 +81,8 @@ void LithosBackend::Pump() {
         if (TryDispatch(s)) {
           queue->erase(queue->begin() + static_cast<long>(i));
           waiting_set_.erase(s);
+          tpc_scheduler_.Unpark(s->client_id());
           progress = true;
-          UpdateWaitingFlags();
         } else {
           ++i;
         }
@@ -219,7 +205,6 @@ void LithosBackend::LaunchAtom(HeadExec* exec, const TpcMask& mask) {
 
   engine_->Launch(std::move(item), mask);
   ++outstanding_[client];
-  tpc_scheduler_.SetClientActive(client, true);
   ++atoms_dispatched_;
   ++exec->next_atom;
 }
@@ -231,10 +216,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   const int client = stream->client_id();
 
   --outstanding_[client];
-  if (outstanding_[client] == 0) {
-    tpc_scheduler_.SetClientActive(client, false);
-  }
-  tpc_scheduler_.Release(exec.mask);
+  tpc_scheduler_.Release(client, exec.mask);
 
   // Tracker duties: feed the predictor, DVFS weights, and atomizer feedback.
   const Atom& atom = exec.plan.atoms[exec.next_atom - 1];
@@ -255,6 +237,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
       // it (via the inflight_ lookup in TryDispatch) when capacity frees.
       exec.mask.reset();
       if (waiting_set_.insert(stream).second) {
+        tpc_scheduler_.Park(client);
         if (IsHighPriority(client)) {
           waiting_hp_.push_front(stream);  // Mid-kernel heads resume first.
         } else {
@@ -269,7 +252,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   // Head complete.
   dvfs_.RecordKernel(stream->id(), exec.work_ns + exec.overhead_ns,
                      predictor_.FreqSensitivity(exec.key));
-  atomizer_.RecordOverhead(exec.kernel->LaunchSignature(), exec.work_ns, exec.overhead_ns);
+  atomizer_.RecordOverhead(exec.key.signature, exec.work_ns, exec.overhead_ns);
   inflight_.erase(it);
   stream->CompleteHead();  // May synchronously re-notify OnStreamReady.
   Pump();

@@ -9,7 +9,10 @@
 //      throttling) and asks the right-sizer how many TPCs the kernel needs.
 //   3. The TPC Scheduler grants a mask: home region first, then free pool,
 //      then stolen idle TPCs. An empty grant parks the stream and, for a
-//      high-priority client, flags its stolen home TPCs for reclaim.
+//      high-priority client, flags its stolen home TPCs for reclaim. Every
+//      push to and erase from the waiting queues is reported to the
+//      scheduler (Park/Unpark), which is all it needs to know which clients
+//      are waiting; which are active it reads from the masks they hold.
 //   4. The predictor estimates the kernel's duration on that mask; the
 //      Kernel Atomizer splits long kernels into atoms, and atom 0 runs on
 //      the grant that sized the plan.
@@ -92,7 +95,6 @@ class LithosBackend : public Backend {
   // Launches the next atom of `exec` on `mask`, which the caller acquired.
   void LaunchAtom(HeadExec* exec, const TpcMask& mask);
   void OnAtomComplete(Stream* stream, const GrantInfo& info);
-  void UpdateWaitingFlags();
 
   LithosConfig config_;
   TpcScheduler tpc_scheduler_;

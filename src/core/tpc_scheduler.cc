@@ -7,112 +7,95 @@
 
 namespace lithos {
 
-TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
-    : config_(config), total_tpcs_(spec.TotalTpcs()) {
-  home_owner_.fill(-1);
-  occupant_.fill(-1);
-  reclaim_.fill(false);
+namespace {
+// The lowest `n` set TPCs of `mask` (all of them if it has fewer).
+TpcMask LowestTpcs(const TpcMask& mask, int n) {
+  TpcMask out;
+  ForEachTpc(mask, kMaxTpcs, [&](int t) {
+    if (n > 0) {
+      out.set(t);
+      --n;
+    }
+  });
+  return out;
 }
+}  // namespace
+
+TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
+    : config_(config), total_tpcs_(spec.TotalTpcs()), free_pool_(spec.AllTpcs()) {}
 
 void TpcScheduler::RegisterClient(int client_id, PriorityClass priority, int quota) {
-  LITHOS_CHECK(clients_.count(client_id) == 0);
-  ClientState state;
+  const bool inserted = slot_.emplace(client_id, clients_.size()).second;
+  LITHOS_CHECK(inserted);
+  ClientState& state = clients_.emplace_back();
   state.priority = priority;
   const int granted = std::clamp(quota, 0, total_tpcs_ - next_home_tpc_);
-  for (int i = 0; i < granted; ++i) {
-    const int t = next_home_tpc_ + i;
-    home_owner_[t] = client_id;
-    state.home.set(t);
-  }
+  state.home = TpcRange(next_home_tpc_, next_home_tpc_ + granted);
   next_home_tpc_ += granted;
-  clients_.emplace(client_id, std::move(state));
+  free_pool_ &= ~state.home;
 }
 
-bool TpcScheduler::StealAllowed(int thief, int tpc) const {
-  const int owner = home_owner_[tpc];
-  if (owner == thief || owner == -1) {
-    return true;  // Not a steal.
-  }
-  if (reclaim_[tpc]) {
-    return false;  // Owner asked for it back.
-  }
-  auto oit = clients_.find(owner);
-  if (oit != clients_.end() && oit->second.waiting) {
-    return false;  // Owner has work parked right now.
-  }
-  auto tit = clients_.find(thief);
-  const bool thief_is_be =
-      tit == clients_.end() || tit->second.priority == PriorityClass::kBestEffort;
-  if (thief_is_be && AnyHighPriorityWaiting()) {
-    return false;  // Never let BE work delay a waiting HP client.
-  }
-  return true;
+const TpcScheduler::ClientState* TpcScheduler::Find(int client_id) const {
+  auto it = slot_.find(client_id);
+  return it == slot_.end() ? nullptr : &clients_[it->second];
+}
+
+TpcScheduler::ClientState& TpcScheduler::At(int client_id) {
+  auto it = slot_.find(client_id);
+  LITHOS_CHECK(it != slot_.end());
+  return clients_[it->second];
 }
 
 TpcMask TpcScheduler::Acquire(int client_id, int desired) {
   LITHOS_CHECK_GT(desired, 0);
+  ClientState& self = At(client_id);
   // Track the client's per-kernel demand: fast rise, slow decay.
-  auto cit = clients_.find(client_id);
-  if (cit != clients_.end()) {
-    cit->second.demand = std::max<double>(desired, cit->second.demand * 0.98);
-  }
+  self.demand = std::max<double>(desired, self.demand * 0.98);
+
   TpcMask granted;
   int remaining = desired;
-  uint64_t stolen = 0;
-  const int total = total_tpcs_;
-
-  auto take = [&](int t, bool is_steal) {
-    granted.set(t);
-    occupant_[t] = client_id;
-    if (home_owner_[t] == client_id) {
-      reclaim_[t] = false;  // Owner is back; the flag served its purpose.
-    }
-    if (is_steal) {
-      ++stolen;
-    }
-    --remaining;
+  auto take = [&](const TpcMask& candidates, int n) {
+    const TpcMask got = LowestTpcs(candidates, n);
+    granted |= got;
+    occupied_ |= got;
+    remaining -= static_cast<int>(got.count());
+    return got;
   };
 
-  // Pass 1: own home region.
-  for (int t = 0; t < total && remaining > 0; ++t) {
-    if (home_owner_[t] == client_id && occupant_[t] == -1) {
-      take(t, false);
-    }
-  }
-  // Pass 2: free pool (unowned TPCs).
-  for (int t = 0; t < total && remaining > 0; ++t) {
-    if (home_owner_[t] == -1 && occupant_[t] == -1) {
-      take(t, false);
-    }
-  }
-  // Pass 3: TPC Stealing — idle foreign home TPCs, subject to policy and each
-  // active owner's headroom: an owner mid-job keeps enough free home TPCs for
-  // its next kernel (its recent demand), so stealing never shrinks the
-  // owner's very next allocation.
-  if (config_.enable_stealing) {
-    std::unordered_map<int, int> spare;  // owner -> stealable TPC budget
-    for (int t = 0; t < total && remaining > 0; ++t) {
-      if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
-          !StealAllowed(client_id, t)) {
+  // Own home region first; the owner is back, so its reclaim flags served
+  // their purpose. Then the free pool.
+  reclaim_ &= ~take(self.home & ~occupied_, remaining);
+  take(free_pool_ & ~occupied_, remaining);
+
+  // TPC Stealing: idle, unflagged foreign home TPCs, in ascending-TPC order.
+  // Nothing is taken from a waiting owner, and a best-effort thief takes
+  // nothing while a high-priority client waits. An active owner keeps enough
+  // free home TPCs for its next kernel (its recent demand), so stealing never
+  // shrinks the owner's very next allocation.
+  uint64_t stolen = 0;
+  const bool be_blocked = self.priority == PriorityClass::kBestEffort && hp_parked_ > 0;
+  if (config_.enable_stealing && !be_blocked) {
+    for (const ClientState& owner : clients_) {
+      if (remaining == 0) {
+        break;
+      }
+      if (&owner == &self || owner.parked > 0) {
         continue;
       }
-      const int owner = home_owner_[t];
-      auto oit = clients_.find(owner);
-      if (oit != clients_.end() && oit->second.active) {
-        auto [sit, inserted] = spare.try_emplace(owner, 0);
-        if (inserted) {
-          // Free home TPCs beyond the owner's recent per-kernel demand.
-          sit->second = FreeHomeTpcs(owner) - static_cast<int>(std::ceil(oit->second.demand));
-        }
-        if (sit->second <= 0) {
-          continue;
-        }
-        --sit->second;
+      const TpcMask idle = owner.home & ~occupied_;
+      int budget = remaining;
+      if (owner.held.any()) {
+        const int headroom =
+            static_cast<int>(idle.count()) - static_cast<int>(std::ceil(owner.demand));
+        budget = std::min(budget, headroom);
       }
-      take(t, true);
+      if (budget > 0) {
+        stolen += take(idle & ~reclaim_, budget).count();
+      }
     }
   }
 
+  self.held |= granted;
   ++stats_.acquisitions;
   stats_.tpcs_granted += granted.count();
   stats_.tpcs_stolen += stolen;
@@ -122,71 +105,50 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired) {
   return granted;
 }
 
-void TpcScheduler::Release(const TpcMask& mask) {
-  ForEachTpc(mask, total_tpcs_, [&](int t) {
-    LITHOS_CHECK_NE(occupant_[t], -1);
-    occupant_[t] = -1;
-  });
+void TpcScheduler::Release(int client_id, const TpcMask& mask) {
+  ClientState& c = At(client_id);
+  LITHOS_CHECK((c.held & mask) == mask);
+  c.held &= ~mask;
+  occupied_ &= ~mask;
 }
 
 void TpcScheduler::RequestReclaim(int client_id) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
+  const ClientState* c = Find(client_id);
+  if (c == nullptr) {
     return;
   }
   ++stats_.reclaim_requests;
-  ForEachTpc(it->second.home, total_tpcs_, [&](int t) {
-    if (occupant_[t] != -1 && occupant_[t] != client_id) {
-      reclaim_[t] = true;
-    }
-  });
+  reclaim_ |= c->home & occupied_ & ~c->held;
 }
 
-void TpcScheduler::SetClientWaiting(int client_id, bool waiting) {
-  auto it = clients_.find(client_id);
-  if (it != clients_.end()) {
-    it->second.waiting = waiting;
+void TpcScheduler::Park(int client_id) {
+  ClientState& c = At(client_id);
+  ++c.parked;
+  if (c.priority == PriorityClass::kHighPriority) {
+    ++hp_parked_;
   }
 }
 
-void TpcScheduler::SetClientActive(int client_id, bool active) {
-  auto it = clients_.find(client_id);
-  if (it != clients_.end()) {
-    it->second.active = active;
+void TpcScheduler::Unpark(int client_id) {
+  ClientState& c = At(client_id);
+  LITHOS_CHECK_GT(c.parked, 0);
+  --c.parked;
+  if (c.priority == PriorityClass::kHighPriority) {
+    --hp_parked_;
   }
-}
-
-bool TpcScheduler::AnyHighPriorityWaiting() const {
-  for (const auto& [id, c] : clients_) {
-    if (c.waiting && c.priority == PriorityClass::kHighPriority) {
-      return true;
-    }
-  }
-  return false;
 }
 
 int TpcScheduler::HomeQuota(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? 0 : static_cast<int>(it->second.home.count());
+  return static_cast<int>(HomeMask(client_id).count());
 }
 
 TpcMask TpcScheduler::HomeMask(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? TpcMask{} : it->second.home;
+  const ClientState* c = Find(client_id);
+  return c == nullptr ? TpcMask{} : c->home;
 }
 
 int TpcScheduler::FreeHomeTpcs(int client_id) const {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
-    return 0;
-  }
-  int n = 0;
-  ForEachTpc(it->second.home, total_tpcs_, [&](int t) {
-    if (occupant_[t] == -1) {
-      ++n;
-    }
-  });
-  return n;
+  return static_cast<int>((HomeMask(client_id) & ~occupied_).count());
 }
 
 }  // namespace lithos

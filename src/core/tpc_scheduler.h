@@ -6,24 +6,31 @@
 // foreign home TPCs whose owner is not asking for them — to whoever has work,
 // raising utilization without giving up isolation:
 //
-//   * an *active* owner (one with atoms in flight) keeps demand headroom:
-//     thieves may take only its free home TPCs beyond its recent per-kernel
-//     demand, so an owner between two kernels still finds its next
-//     allocation free. No per-TPC busy timer is needed: TPCs are released
-//     when their atom completes, so a free TPC is idle at its release
-//     instant, and "busy" is simply "has an occupant";
+//   * an *active* owner (one that holds TPCs, i.e. has atoms in flight) keeps
+//     demand headroom: thieves may take only its free home TPCs beyond its
+//     recent per-kernel demand, so an owner between two kernels still finds
+//     its next allocation free. No per-TPC busy timer is needed: TPCs are
+//     released when their atom completes, so a free TPC is idle at its
+//     release instant, and "busy" is simply "occupied";
 //   * when an owner has waiting work but finds its home TPCs stolen, it
 //     flags them for *reclaim*: thieves' subsequent atoms exclude flagged
 //     TPCs, so the owner waits at most one atom duration (Fig. 9c);
-//   * best-effort clients may steal only when no high-priority client is
+//   * a *waiting* owner (one with parked streams) lends nothing, and
+//     best-effort clients steal nothing while any high-priority client is
 //     waiting, preventing priority inversion.
+//
+// All state is TPC masks — the occupied, reclaim-flagged and free-pool sets,
+// and each client's home and held sets — so every step of Acquire is a few
+// word operations. "Active" and "waiting" are derived, not mirrored: a client
+// is active while its held mask is non-empty (every in-flight atom holds the
+// TPCs it was granted until Release), and waiting while its count of parked
+// streams (Park/Unpark) is positive.
 //
 // This class is pure allocation bookkeeping (no simulation callbacks), which
 // keeps it independently unit-testable; LithosBackend drives it.
 #ifndef LITHOS_CORE_TPC_SCHEDULER_H_
 #define LITHOS_CORE_TPC_SCHEDULER_H_
 
-#include <array>
 #include <unordered_map>
 #include <vector>
 
@@ -51,29 +58,22 @@ class TpcScheduler {
 
   // Grants up to `desired` TPCs to `client_id`, preferring its home region,
   // then the free pool, then stealing, and updates the client's demand. The
-  // TPCs stay occupied until Release. May return fewer than desired,
+  // client holds the TPCs until Release. May return fewer than desired,
   // including an empty mask when nothing is available.
   TpcMask Acquire(int client_id, int desired);
 
-  // Returns TPCs to the idle state; they are stealable from this instant.
-  void Release(const TpcMask& mask);
+  // Returns TPCs that `client_id` holds to the idle state; they are
+  // stealable from this instant.
+  void Release(int client_id, const TpcMask& mask);
 
   // The owner has waiting work: flag its stolen home TPCs so thieves vacate
   // at the next atom boundary.
   void RequestReclaim(int client_id);
 
-  // Dispatcher hint used for steal eligibility.
-  void SetClientWaiting(int client_id, bool waiting);
-  bool AnyHighPriorityWaiting() const;
-
-  // Dispatcher hint: the client currently has work on the device (in-flight
-  // atoms). Stealing from an *active* owner is limited to the owner's idle
-  // headroom — home TPCs beyond the owner's recent per-kernel demand — so the
-  // owner's next kernel still finds its full allocation free. An *inactive*
-  // owner's whole home region is up for grabs. Together with the reclaim
-  // flags this distinguishes "idle" from "between two kernels of a running
-  // job".
-  void SetClientActive(int client_id, bool active);
+  // One of the client's streams was parked (it waits for TPCs) or left the
+  // waiting queue.
+  void Park(int client_id);
+  void Unpark(int client_id);
 
   // --- Introspection --------------------------------------------------------
   int HomeQuota(int client_id) const;
@@ -86,19 +86,24 @@ class TpcScheduler {
   struct ClientState {
     PriorityClass priority = PriorityClass::kBestEffort;
     TpcMask home;
-    bool waiting = false;
-    bool active = false;   // has in-flight work on the device
+    TpcMask held;          // TPCs granted and not yet released
+    int parked = 0;        // streams waiting for TPCs
     double demand = 0;     // recent max of desired TPCs per kernel
   };
 
-  bool StealAllowed(int thief, int tpc) const;
+  const ClientState* Find(int client_id) const;  // nullptr if unregistered
+  ClientState& At(int client_id);                 // checks registration
 
   LithosConfig config_;
   int total_tpcs_;
-  std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
-  std::array<int, kMaxTpcs> occupant_;     // -1 = idle
-  std::array<bool, kMaxTpcs> reclaim_;
-  std::unordered_map<int, ClientState> clients_;
+  TpcMask occupied_;
+  TpcMask reclaim_;
+  TpcMask free_pool_;    // TPCs in no client's home region
+  // Registered clients in registration order. Homes are carved next-fit from
+  // TPC 0, so this is also ascending home-TPC order.
+  std::vector<ClientState> clients_;
+  std::unordered_map<int, size_t> slot_;  // client id -> index in clients_
+  int hp_parked_ = 0;    // parked streams of high-priority clients
   int next_home_tpc_ = 0;
   TpcSchedulerStats stats_;
 };

@@ -101,7 +101,6 @@ struct GpuSpec {
 
   int NumGpcs() const { return static_cast<int>(gpc_tpcs.size()); }
   int TotalTpcs() const { return std::accumulate(gpc_tpcs.begin(), gpc_tpcs.end(), 0); }
-  int TotalSms() const { return TotalTpcs() * sms_per_tpc; }
 
   // Inclusive TPC index range [lo, hi) covered by the given GPC.
   std::pair<int, int> GpcTpcRange(int gpc) const;

@@ -89,24 +89,6 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   EXPECT_TRUE(seen_hi);
 }
 
-TEST(RngTest, WeightedIndexRespectsWeights) {
-  Rng rng(19);
-  std::vector<double> weights = {1.0, 0.0, 9.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 50000; ++i) {
-    ++counts[rng.WeightedIndex(weights)];
-  }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / 50000.0, 0.9, 0.02);
-}
-
-TEST(RngTest, ZipfWeightsDecreasing) {
-  const auto w = Rng::ZipfWeights(10, 1.2);
-  for (size_t i = 1; i < w.size(); ++i) {
-    EXPECT_LT(w[i], w[i - 1]);
-  }
-}
-
 TEST(StreamingStatsTest, Basic) {
   StreamingStats s;
   for (double x : {1.0, 2.0, 3.0, 4.0}) {

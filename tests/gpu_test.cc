@@ -14,7 +14,6 @@ TEST(GpuSpecTest, A100Topology) {
   const GpuSpec spec = GpuSpec::A100();
   EXPECT_EQ(spec.NumGpcs(), 7);
   EXPECT_EQ(spec.TotalTpcs(), 54);
-  EXPECT_EQ(spec.TotalSms(), 108);
   EXPECT_EQ(spec.max_mhz, 1410);
 }
 
